@@ -20,7 +20,6 @@
 #include "dift/shadow.hpp"
 #include "dift/taint.hpp"
 #include "fw/benchmarks.hpp"
-#include "sa/analyze.hpp"
 #include "vp/scenarios.hpp"
 #include "vp/vp.hpp"
 
@@ -221,10 +220,6 @@ void run_iss(benchmark::State& state, bool dift) {
           : 0.0;
   state.counters["variant_promotions"] =
       static_cast<double>(stats.variant_promotions);
-  state.counters["superblock_hits"] =
-      static_cast<double>(stats.superblock_hits);
-  state.counters["superblock_transfers"] =
-      static_cast<double>(stats.superblock_transfers);
 }
 
 void BM_IssPlainVp(benchmark::State& state) { run_iss<vp::Vp>(state, false); }
@@ -232,35 +227,6 @@ BENCHMARK(BM_IssPlainVp)->Unit(benchmark::kMillisecond);
 
 void BM_IssDiftVp(benchmark::State& state) { run_iss<vp::VpDift>(state, true); }
 BENCHMARK(BM_IssDiftVp)->Unit(benchmark::kMillisecond);
-
-// The same DIFT run with the static analyzer's ahead-of-time pin set
-// installed: pinned blocks skip plain_state() re-proofs and register
-// rescans from their first dispatch. Compare against BM_IssDiftVp; the
-// sa_* counters report how much of the dispatch stream the pins covered.
-void BM_IssDiftVpPinned(benchmark::State& state) {
-  const rvasm::Program prog = fw::make_primes(4000);
-  auto bundle = vp::scenarios::make_permissive_policy();
-  const sa::AnalysisResult analysis = sa::analyze(prog, &bundle.policy);
-  std::uint64_t instret = 0;
-  dift::DiftStats stats;
-  for (auto _ : state) {
-    vp::VpDift v;
-    v.load(prog);
-    v.apply_policy(bundle.policy);
-    v.set_pinned_blocks(analysis.pinned_pcs);
-    const auto r = v.run(sysc::Time::sec(60));
-    if (!r.exited() || r.exit_code != 0) state.SkipWithError("self-check failed");
-    instret += r.instret;
-    stats += r.stats;
-  }
-  state.counters["instr/s"] = benchmark::Counter(
-      static_cast<double>(instret), benchmark::Counter::kIsRate);
-  state.counters["sa_pinned_blocks"] =
-      static_cast<double>(analysis.pinned_pcs.size());
-  state.counters["sa_pinned_hits/s"] = benchmark::Counter(
-      static_cast<double>(stats.sa_pinned_hits), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_IssDiftVpPinned)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -169,9 +169,8 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
   }
   if (const auto* p = policy->policy()) v.apply_policy(*p);
   if (job.analyze) {
-    // Static pre-pass: lint report rides on the result; the pin set (if the
-    // analyzer proved one) installs after the policy (apply_policy voids
-    // pins). The service env supplies a content-hash cache here.
+    // Static pre-pass: the lint report rides on the result. The service
+    // env supplies a content-hash cache here.
     std::shared_ptr<const sa::AnalysisResult> analysis;
     if (env && env->resolve_analysis)
       analysis = env->resolve_analysis(job.firmware, job.policy, program,
@@ -182,8 +181,6 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
       analysis = std::make_shared<sa::AnalysisResult>(
           sa::analyze(program, policy->policy(), aopts));
     }
-    if (!analysis->pinned_pcs.empty())
-      v.set_pinned_blocks(analysis->pinned_pcs);
     res.analysis = std::move(analysis);
   }
   if (job.mode == VpMode::kMonitor) v.set_monitor_mode(true);

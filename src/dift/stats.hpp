@@ -15,27 +15,45 @@
 
 namespace vpdift::dift {
 
+/// The one list of DiftStats counters, in report order. The struct members,
+/// the arithmetic, to_json() and the service wire decoder are all expanded
+/// from it, so adding a counter is a one-line change here.
+#define VPDIFT_DIFT_STATS_FIELDS(X)                                          \
+  X(lub_calls)             /* LUB table lookups (a != b slow path) */        \
+  X(flow_checks)           /* flow-table lookups (from != to) */             \
+  X(decode_hits)           /* instructions executed from cached blocks */    \
+  X(decode_misses)         /* instructions decoded into micro-ops */         \
+  X(block_hits)            /* block-cache lookups that found a valid block */ \
+  X(block_misses)          /* block-cache lookups that built a new block */  \
+  X(block_invalidations)   /* cached blocks rebuilt (raw bytes changed) */   \
+  X(chained_transfers)     /* block entries resolved via terminator chain */ \
+  X(fetch_summary_hits)    /* fetches cleared via block-span memo */         \
+  X(load_summary_hits)     /* loads tagged via uniform summary */            \
+  X(mem_summary_hits)      /* Memory reads served via summary */             \
+  X(dma_summary_hits)      /* DMA bursts forwarded as uniform */             \
+  X(bus_transactions)      /* b_transport calls routed by the bus */         \
+  X(plain_variant_hits)    /* block dispatches via plain variant */          \
+  X(tainted_variant_hits)  /* block dispatches via tainted variant */        \
+  X(variant_promotions)    /* plain dispatches promoted pre-retire */
+
 struct DiftStats {
-  std::uint64_t lub_calls = 0;       ///< LUB table lookups (a != b slow path)
-  std::uint64_t flow_checks = 0;     ///< flow-table lookups (from != to)
-  std::uint64_t decode_hits = 0;     ///< instructions executed from cached blocks
-  std::uint64_t decode_misses = 0;   ///< instructions decoded into micro-ops
-  std::uint64_t block_hits = 0;      ///< block-cache lookups that found a valid block
-  std::uint64_t block_misses = 0;    ///< block-cache lookups that built a new block
-  std::uint64_t block_invalidations = 0;  ///< cached blocks rebuilt (raw bytes changed)
-  std::uint64_t chained_transfers = 0;    ///< block entries resolved via terminator chain
-  std::uint64_t fetch_summary_hits = 0;  ///< fetches cleared via block-span memo
-  std::uint64_t load_summary_hits = 0;   ///< loads tagged via uniform summary
-  std::uint64_t mem_summary_hits = 0;    ///< Memory reads served via summary
-  std::uint64_t dma_summary_hits = 0;    ///< DMA bursts forwarded as uniform
-  std::uint64_t bus_transactions = 0;    ///< b_transport calls routed by the bus
-  std::uint64_t plain_variant_hits = 0;    ///< block dispatches via plain variant
-  std::uint64_t tainted_variant_hits = 0;  ///< block dispatches via tainted variant
-  std::uint64_t variant_promotions = 0;    ///< plain dispatches promoted pre-retire
-  std::uint64_t superblock_hits = 0;       ///< dispatches executed a fused trace
-  std::uint64_t superblock_transfers = 0;  ///< block transitions taken inside traces
-  std::uint64_t sa_pinned_blocks = 0;      ///< blocks pinned plain by static analysis
-  std::uint64_t sa_pinned_hits = 0;        ///< dispatches that used an ahead-of-time pin
+#define VPDIFT_X(name) std::uint64_t name = 0;
+  VPDIFT_DIFT_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+
+  /// Calls f(name, counter) for every counter, in report order.
+  template <typename F>
+  void for_each(F&& f) {
+#define VPDIFT_X(name) f(#name, name);
+    VPDIFT_DIFT_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+  }
+  template <typename F>
+  void for_each(F&& f) const {
+#define VPDIFT_X(name) f(#name, name);
+    VPDIFT_DIFT_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+  }
 
   std::uint64_t summary_hits() const {
     return fetch_summary_hits + load_summary_hits + mem_summary_hits +
@@ -43,77 +61,32 @@ struct DiftStats {
   }
 
   DiftStats& operator+=(const DiftStats& o) {
-    lub_calls += o.lub_calls;
-    flow_checks += o.flow_checks;
-    decode_hits += o.decode_hits;
-    decode_misses += o.decode_misses;
-    block_hits += o.block_hits;
-    block_misses += o.block_misses;
-    block_invalidations += o.block_invalidations;
-    chained_transfers += o.chained_transfers;
-    fetch_summary_hits += o.fetch_summary_hits;
-    load_summary_hits += o.load_summary_hits;
-    mem_summary_hits += o.mem_summary_hits;
-    dma_summary_hits += o.dma_summary_hits;
-    bus_transactions += o.bus_transactions;
-    plain_variant_hits += o.plain_variant_hits;
-    tainted_variant_hits += o.tainted_variant_hits;
-    variant_promotions += o.variant_promotions;
-    superblock_hits += o.superblock_hits;
-    superblock_transfers += o.superblock_transfers;
-    sa_pinned_blocks += o.sa_pinned_blocks;
-    sa_pinned_hits += o.sa_pinned_hits;
+#define VPDIFT_X(name) name += o.name;
+    VPDIFT_DIFT_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
     return *this;
   }
 
   DiftStats operator-(const DiftStats& o) const {
     DiftStats d;
-    d.lub_calls = lub_calls - o.lub_calls;
-    d.flow_checks = flow_checks - o.flow_checks;
-    d.decode_hits = decode_hits - o.decode_hits;
-    d.decode_misses = decode_misses - o.decode_misses;
-    d.block_hits = block_hits - o.block_hits;
-    d.block_misses = block_misses - o.block_misses;
-    d.block_invalidations = block_invalidations - o.block_invalidations;
-    d.chained_transfers = chained_transfers - o.chained_transfers;
-    d.fetch_summary_hits = fetch_summary_hits - o.fetch_summary_hits;
-    d.load_summary_hits = load_summary_hits - o.load_summary_hits;
-    d.mem_summary_hits = mem_summary_hits - o.mem_summary_hits;
-    d.dma_summary_hits = dma_summary_hits - o.dma_summary_hits;
-    d.bus_transactions = bus_transactions - o.bus_transactions;
-    d.plain_variant_hits = plain_variant_hits - o.plain_variant_hits;
-    d.tainted_variant_hits = tainted_variant_hits - o.tainted_variant_hits;
-    d.variant_promotions = variant_promotions - o.variant_promotions;
-    d.superblock_hits = superblock_hits - o.superblock_hits;
-    d.superblock_transfers = superblock_transfers - o.superblock_transfers;
-    d.sa_pinned_blocks = sa_pinned_blocks - o.sa_pinned_blocks;
-    d.sa_pinned_hits = sa_pinned_hits - o.sa_pinned_hits;
+#define VPDIFT_X(name) d.name = name - o.name;
+    VPDIFT_DIFT_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
     return d;
   }
 };
 
 /// JSON object rendering, shared by the bench harnesses and the CLI runner.
 inline std::string to_json(const DiftStats& s) {
-  auto f = [](const char* k, std::uint64_t v, bool last = false) {
-    return "\"" + std::string(k) + "\":" + std::to_string(v) + (last ? "" : ",");
-  };
-  return "{" + f("lub_calls", s.lub_calls) + f("flow_checks", s.flow_checks) +
-         f("decode_hits", s.decode_hits) + f("decode_misses", s.decode_misses) +
-         f("block_hits", s.block_hits) + f("block_misses", s.block_misses) +
-         f("block_invalidations", s.block_invalidations) +
-         f("chained_transfers", s.chained_transfers) +
-         f("fetch_summary_hits", s.fetch_summary_hits) +
-         f("load_summary_hits", s.load_summary_hits) +
-         f("mem_summary_hits", s.mem_summary_hits) +
-         f("dma_summary_hits", s.dma_summary_hits) +
-         f("bus_transactions", s.bus_transactions) +
-         f("plain_variant_hits", s.plain_variant_hits) +
-         f("tainted_variant_hits", s.tainted_variant_hits) +
-         f("variant_promotions", s.variant_promotions) +
-         f("superblock_hits", s.superblock_hits) +
-         f("superblock_transfers", s.superblock_transfers) +
-         f("sa_pinned_blocks", s.sa_pinned_blocks) +
-         f("sa_pinned_hits", s.sa_pinned_hits, true) + "}";
+  std::string out = "{";
+  s.for_each([&](const char* k, std::uint64_t v) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += k;
+    out += "\":";
+    out += std::to_string(v);
+  });
+  return out + "}";
 }
 
 }  // namespace vpdift::dift

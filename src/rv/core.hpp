@@ -21,7 +21,6 @@
 // bytes so self-modifying code stays correct.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -77,26 +76,6 @@ class Core {
   /// attached, blocks execute on the careful (per-instruction) path so the
   /// trace is bit-identical to single-step execution.
   void set_trace(TraceBuffer* trace) { trace_ = trace; }
-
-  // ---- ahead-of-time plain-block pinning (src/sa) ----
-
-  /// Installs the pin set computed by the static analyzer: DMI byte offsets
-  /// of block-head boundaries whose translated window provably never touches
-  /// taint under the installed policy (see docs/analysis.md for the
-  /// obligations). A pinned dispatch skips the plain_state() re-proof — the
-  /// shadow-plane scan and the register-tag rescan — and needs only the
-  /// sticky reg-tag OR to still read ⊥ plus the memoised clearance check.
-  /// The set binds to the (firmware, policy) pair: set_policy() drops it,
-  /// and a fired injected fault suspends it for the rest of the run (the
-  /// mutated state is outside the analyzed behaviour). Installing a set
-  /// resets superblock state so fused traces can never mix pinned and
-  /// unpinned constituents, and clears a previous suspension.
-  void set_pinned_blocks(std::vector<std::uint64_t> offs);
-  /// Drops the pin set and clears every per-block pin flag.
-  void clear_pins();
-  std::size_t pinned_block_count() const { return pinned_offs_.size(); }
-  /// True once a fired injected fault invalidated the pin set for this run.
-  bool pins_suspended() const { return pins_suspended_; }
 
   // ---- architectural state ----
 
@@ -173,12 +152,12 @@ class Core {
   /// Architectural reset: clears registers, CSRs, pending interrupts, the
   /// WFI state, the block cache, and the retirement counter; pc moves to
   /// `reset_pc`. Wiring (bus, DMI, policy, trace) is preserved.
-  /// `keep_translations` keeps the translated blocks (and their chains and
-  /// superblocks) warm — sound only when the DMI code bytes are reloaded
-  /// with identical content (campaign re-arm with an unchanged firmware
-  /// hash): translations are content-keyed and revalidate against the raw
-  /// bytes anyway, but the per-block fetch memos bind to a policy's flow
-  /// table and are wiped to avoid pointer-reuse ABA across policies.
+  /// `keep_translations` keeps the translated blocks (and their chains)
+  /// warm — sound only when the DMI code bytes are reloaded with identical
+  /// content (campaign re-arm with an unchanged firmware hash): translations
+  /// are content-keyed and revalidate against the raw bytes anyway, but the
+  /// per-block fetch memos bind to a policy's flow table and are wiped to
+  /// avoid pointer-reuse ABA across policies.
   void reset(std::uint32_t reset_pc, bool keep_translations = false);
 
   /// Checkpoint support: restores the retirement counter and WFI state
@@ -220,40 +199,13 @@ class Core {
   /// semantics, `fast` the taint-liveness-specialized plain variant that
   /// skips all tag work — valid only while plain_state() holds (shadow plane
   /// uniformly ⊥, register tags ⊥, every clearance admits ⊥). Terminators
-  /// and the plain instantiation alias fast == fn. `chk`/`expect` are used
-  /// only by trace (superblock) copies of an op: after a part-boundary op
-  /// retires, the dispatch loop verifies pc_ == expect before falling
-  /// through into the next fused block.
+  /// and the plain instantiation alias fast == fn.
   struct MicroOp {
     Insn insn;
     ExecFn fn;
     ExecFn fast;
     bool mem;  ///< load/store: may raise an IRQ or modify code mid-block
     bool cf;   ///< conditional branch: exits the block only when taken
-    bool chk = false;          ///< trace boundary: verify successor pc
-    std::uint32_t expect = 0;  ///< predicted successor pc (chk only)
-  };
-
-  /// A superblock: several chained blocks fused into one straight-line run
-  /// of micro-ops (see docs/perf.md). Owned by its head Block and executed
-  /// only on the plain path (Core<PlainWord>, or Core<TaintedWord> while
-  /// plain_state() holds), so no flow-check or memo state is fused. Every
-  /// constituent's raw bytes are revalidated on entry; `lo`/`hi` span the
-  /// hull of all parts so stores into any constituent (or a gap) raise
-  /// smc_break_ mid-trace.
-  struct Trace {
-    struct Part {
-      std::uint64_t off;       ///< DMI offset of the constituent block head
-      std::uint32_t len;       ///< its byte length
-      std::uint32_t raw_off;   ///< offset of its snapshot inside `raw`
-      std::uint32_t first_op;  ///< index of its first micro-op in `ops`
-    };
-    std::vector<MicroOp> ops;
-    std::vector<Part> parts;
-    std::vector<std::uint8_t> raw;
-    std::uint64_t lo = 0;  ///< hull of constituent spans (DMI offsets)
-    std::uint64_t hi = 0;
-    bool all_pinned = false;  ///< every constituent block is pinned
   };
 
   /// One translated basic block: a run of micro-ops ending at the first
@@ -279,23 +231,11 @@ class Core {
     bool fetch_memo = false;
     std::vector<MicroOp> ops;
     std::vector<std::uint8_t> raw;
-    // Superblock state: after kTraceHeat plain dispatches, chained
-    // successors are fused into `trace`. `no_trace` latches heads that can
-    // never fuse (terminator kind, self-loop) until the block is rebuilt.
-    std::unique_ptr<Trace> trace;
-    std::uint32_t heat = 0;
-    bool no_trace = false;
-    bool pinned = false;  ///< head is in the analyzer's pin set
   };
 
   /// Upper bound on micro-ops per block (straight-line runs longer than this
   /// split into consecutive blocks).
   static constexpr std::size_t kMaxBlockOps = 64;
-  /// Plain dispatches of a block before superblock formation is attempted.
-  static constexpr std::uint32_t kTraceHeat = 16;
-  /// Upper bounds on fused blocks / micro-ops per superblock.
-  static constexpr std::size_t kMaxTraceParts = 8;
-  static constexpr std::size_t kMaxTraceOps = 256;
 
   void execute(const Insn& d);
   void transport_with_pc(tlmlite::Payload& p, sysc::Time& delay);
@@ -312,13 +252,10 @@ class Core {
                            bool plain);
   void step_slow();
 
-  // Taint-liveness gate + superblock engine (see docs/perf.md).
+  // Taint-liveness gate (see docs/perf.md).
   bool plain_state();
   bool plain_clearances_ok();
   void wipe_fetch_memos();
-  void build_trace(Block& head);
-  bool trace_valid(const Trace& t) const;
-  std::uint64_t exec_trace(Trace& t, std::uint64_t budget);
 
   dift::Tag combine(dift::Tag a, dift::Tag b) { return Ops::combine(a, b); }
   std::uint32_t rv(std::uint8_t r) const { return Ops::value(regs_[r]); }
@@ -392,16 +329,6 @@ class Core {
   const std::uint8_t* plain_ok_flow_ = nullptr;
   bool plain_ok_ = false;
   bool plain_ok_valid_ = false;
-
-  // Ahead-of-time pin set (sorted DMI byte offsets of pinned block heads).
-  // Blocks mark themselves pinned at (re)translation via binary search;
-  // pins_suspended_ latches once a fired injected fault leaves the analyzed
-  // behaviour envelope.
-  std::vector<std::uint64_t> pinned_offs_;
-  bool pins_suspended_ = false;
-  bool is_pinned_off(std::uint64_t off) const {
-    return std::binary_search(pinned_offs_.begin(), pinned_offs_.end(), off);
-  }
 
   const dift::SecurityPolicy* policy_ = nullptr;
   dift::ExecutionClearance exec_;

@@ -57,10 +57,8 @@ inline Insn decode_any(std::uint32_t raw) {
 /// (jal/jalr/mret), traps (ecall/ebreak/illegal), CSR accesses, fence and
 /// wfi. Conditional branches are NOT terminators (a not-taken branch falls
 /// through inside the block). This is the single source of truth shared by
-/// the core's block builder and the static analyzer's window replication —
-/// if they disagreed, an ahead-of-time pin could cover a different window
-/// than the one the core actually executes. (constexpr so the core's
-/// handler table can bake it in at compile time.)
+/// the core's block builder and the static analyzer's block recovery.
+/// (constexpr so the core's handler table can bake it in at compile time.)
 constexpr bool is_block_terminator(Op op) {
   switch (op) {
     case Op::kJal:

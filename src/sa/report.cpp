@@ -38,26 +38,11 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-std::uint64_t AnalysisResult::pin_hash() const {
-  if (pinned_pcs.empty()) return 0;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (std::uint64_t pc : pinned_pcs) mix(pc);
-  return h;
-}
-
 std::string to_json(const AnalysisResult& r) {
   std::ostringstream os;
-  std::size_t tainted_blocks = 0, pinned_blocks = 0;
-  for (const auto& b : r.blocks) {
+  std::size_t tainted_blocks = 0;
+  for (const auto& b : r.blocks)
     if (b.touches_taint) ++tainted_blocks;
-    if (b.pinned) ++pinned_blocks;
-  }
   os << "{";
   os << "\"entry\":\"" << hex(r.entry) << "\"";
   os << ",\"reachable_instructions\":" << r.reachable_instructions;
@@ -65,7 +50,6 @@ std::string to_json(const AnalysisResult& r) {
   os << ",\"unreachable_bytes\":" << r.unreachable_bytes;
   os << ",\"blocks\":" << r.blocks.size();
   os << ",\"tainted_blocks\":" << tainted_blocks;
-  os << ",\"pinned_blocks\":" << pinned_blocks;
   os << ",\"trap_entries\":" << r.trap_entries.size();
   os << ",\"call_entries\":" << r.call_entries.size();
   os << ",\"unresolved_indirects\":" << r.unresolved_indirects.size();
@@ -73,9 +57,6 @@ std::string to_json(const AnalysisResult& r) {
   os << ",\"complete\":" << (r.complete ? "true" : "false");
   os << ",\"taint_free\":" << (r.taint_free ? "true" : "false");
   os << ",\"reachable_violations\":" << r.reachable_violations;
-  os << ",\"pin_mode\":\"" << r.pin_mode << "\"";
-  os << ",\"pinned_pcs\":" << r.pinned_pcs.size();
-  os << ",\"pin_hash\":\"" << hex(r.pin_hash()) << "\"";
   os << ",\"findings\":[";
   bool first = true;
   for (const auto& f : r.findings) {
@@ -93,24 +74,20 @@ std::string to_json(const AnalysisResult& r) {
 
 std::string to_text(const AnalysisResult& r) {
   std::ostringstream os;
-  std::size_t tainted_blocks = 0, pinned_blocks = 0;
-  for (const auto& b : r.blocks) {
+  std::size_t tainted_blocks = 0;
+  for (const auto& b : r.blocks)
     if (b.touches_taint) ++tainted_blocks;
-    if (b.pinned) ++pinned_blocks;
-  }
   os << "static analysis report\n"
      << "  entry                : " << hex(r.entry) << "\n"
      << "  reachable insns      : " << r.reachable_instructions
      << " (linear sweep " << r.linear_sweep_instructions << ", "
      << r.unreachable_bytes << " unreachable text bytes)\n"
      << "  basic blocks         : " << r.blocks.size() << " (" << tainted_blocks
-     << " may touch taint, " << pinned_blocks << " pinned)\n"
+     << " may touch taint)\n"
      << "  functions / traps    : " << r.call_entries.size() << " / "
      << r.trap_entries.size() << "\n"
      << "  cfg complete         : " << (r.complete ? "yes" : "no")
      << "  taint-free policy: " << (r.taint_free ? "yes" : "no") << "\n"
-     << "  pin mode             : " << r.pin_mode << " (" << r.pinned_pcs.size()
-     << " boundaries, hash " << hex(r.pin_hash()) << ")\n"
      << "  reachable violations : " << r.reachable_violations << "\n";
   if (r.findings.empty()) {
     os << "  findings             : none\n";

@@ -16,8 +16,8 @@
 //                  This is what makes a repeated fi golden run free.
 //   * analysis   — sa::AnalysisResult keyed by (program content, policy
 //                  content, RAM size): a warm resubmission of an analyze
-//                  job reuses the lint report and pin set without re-running
-//                  the abstract interpreter.
+//                  job reuses the lint report without re-running the
+//                  abstract interpreter.
 //   * fault site — one fi::FiSiteCache per (firmware content, seed): the
 //                  snapshots taken along a suite's golden cursor plus the
 //                  cursor outcome. The fault schedule is a deterministic

@@ -43,7 +43,7 @@ std::string fork_stats_to_json(const fi::ForkStats& s);
 fi::ForkStats fork_stats_from_json(const campaign::JsonValue& obj);
 
 /// Full-fidelity sa::AnalysisResult round trip (unlike sa::to_json, which
-/// is the summary-level report schema): block/entry/pin lists survive, so
+/// is the summary-level report schema): block and entry lists survive, so
 /// a client-side aggregator reproduces the same report the worker would.
 std::string analysis_to_json(const sa::AnalysisResult& r);
 sa::AnalysisResult analysis_from_json(const campaign::JsonValue& obj);

@@ -131,12 +131,11 @@ void VirtualPrototype<W>::reset(bool keep_translations) {
   // CPU: full architectural reset (registers, CSRs, counters, WFI, fatal
   // trap), pending fault trigger disarmed, policy detached, translation
   // cache dropped (the next image has different bytes) — unless the caller
-  // promised byte-identical firmware, in which case the translations (and
-  // superblocks) stay warm and only the policy-bound fetch memos are wiped.
+  // promised byte-identical firmware, in which case the translations stay
+  // warm and only the policy-bound fetch memos are wiped.
   core_.reset(am::kRamBase, keep_translations);
   core_.disarm_fault();
-  core_.set_policy(nullptr);  // also drops an installed pin set
-  pin_count_ = 0;
+  core_.set_policy(nullptr);
   if (!keep_translations) core_.invalidate_blocks();
   boot_pc_ = am::kRamBase;
 
@@ -238,18 +237,6 @@ void VirtualPrototype<W>::apply_policy(const dift::SecurityPolicy& policy) {
 }
 
 template <typename W>
-void VirtualPrototype<W>::set_pinned_blocks(
-    const std::vector<std::uint64_t>& addrs) {
-  std::vector<std::uint64_t> offs;
-  offs.reserve(addrs.size());
-  for (const std::uint64_t a : addrs)
-    if (a >= am::kRamBase && a - am::kRamBase < ram_.size())
-      offs.push_back(a - am::kRamBase);
-  pin_count_ = offs.size();
-  core_.set_pinned_blocks(std::move(offs));
-}
-
-template <typename W>
 dift::DiftStats VirtualPrototype<W>::capture_stats() const {
   dift::DiftStats s = core_.stats();
   s.lub_calls = dift::detail::g_active.lub_calls;
@@ -330,10 +317,6 @@ void VirtualPrototype<W>::restore(const Snapshot& s) {
   core_.invalidate_blocks();
   // A forked tail must not inherit the parent's pending fault trigger.
   core_.disarm_fault();
-  // A restored state (possibly a mutated fault tail) is outside the
-  // statically analyzed behaviour: drop any ahead-of-time pins.
-  core_.clear_pins();
-  pin_count_ = 0;
 
   if (!started_ && sim_->idle()) {
     // Fresh VP: full-fidelity resume. Rewind the clock to the capture
@@ -485,8 +468,6 @@ RunResult VirtualPrototype<W>::run(sysc::Time max_sim_time) {
   r.uart_output = uart_.output();
   r.markers = sysctrl_.markers();
   r.stats = capture_stats() - stats_before;
-  // Gauge, not a delta: the size of the pin set installed for this run.
-  r.stats.sa_pinned_blocks = pin_count_;
   return r;
 }
 

@@ -218,9 +218,9 @@ class VirtualPrototype {
   /// VpConfig determines, so a pool may reuse a VP across jobs whose
   /// configs are config_equivalent(). Only valid on a VP that owns its
   /// simulation (throws std::logic_error for shared-kernel multi-ECU VPs).
-  /// `keep_translations` keeps the core's translated-block cache (and its
-  /// superblocks) warm across the re-arm — sound only when the subsequently
-  /// loaded firmware is byte-identical (the pool gates this on the firmware
+  /// `keep_translations` keeps the core's translated-block cache warm
+  /// across the re-arm — sound only when the subsequently loaded
+  /// firmware is byte-identical (the pool gates this on the firmware
   /// content hash); translations revalidate against the raw bytes on every
   /// dispatch regardless.
   void reset(bool keep_translations = false);
@@ -243,15 +243,6 @@ class VirtualPrototype {
   /// stopping the simulation — one run surfaces every forbidden flow, which
   /// is the mode of choice while a policy is being developed.
   void set_monitor_mode(bool on) { monitor_mode_ = on; }
-
-  /// Installs an ahead-of-time pin set from the static analyzer (absolute
-  /// guest addresses of pinned block heads; non-RAM addresses are ignored).
-  /// Call after apply_policy() — installing a policy voids a previous pin
-  /// set. RunResult.stats.sa_pinned_blocks reports the installed count as a
-  /// gauge (run stats are otherwise deltas). reset() and restore() drop the
-  /// set: a re-armed or rewound VP is outside the analyzed behaviour until
-  /// the runner re-installs a (cached) analysis result.
-  void set_pinned_blocks(const std::vector<std::uint64_t>& addrs);
 
   /// Keeps the last `depth` executed instructions (with result values and
   /// tags); a violation's RunResult then carries the formatted history.
@@ -321,7 +312,6 @@ class VirtualPrototype {
   bool started_ = false;
   bool monitor_mode_ = false;
   std::uint32_t boot_pc_ = soc::addrmap::kRamBase;
-  std::uint64_t pin_count_ = 0;  ///< installed pin-set size (stats gauge)
 
   // CPU quantum-phase tracking, so a snapshot taken mid-quantum (from an
   // arm_fault callback) records how far into the quantum the core is, and

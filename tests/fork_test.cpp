@@ -109,10 +109,9 @@ void expect_equivalent(const fi::FiSuite& suite,
     EXPECT_EQ(c.run.stats.dma_summary_hits, f.run.stats.dma_summary_hits);
     // Promotion events are trajectory-pure (one per plain->tainted taint
     // introduction, at a fixed instruction), so replay and fork must agree.
-    // The per-dispatch variant-hit counters are exempt along with the
-    // superblock counters: a forked tail rebuilds the block cache from
-    // cold, so its dispatch mix (blocks vs superblocks) legitimately
-    // differs even though the executed instructions are identical.
+    // The per-dispatch variant-hit counters are exempt: a forked tail
+    // rebuilds the block cache from cold, so the same instruction stream
+    // may split into a different number of block dispatches.
     EXPECT_EQ(c.run.stats.variant_promotions, f.run.stats.variant_promotions);
   }
   std::vector<fi::Verdict> vc, vf;

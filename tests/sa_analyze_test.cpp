@@ -1,7 +1,7 @@
 // Tests for the static firmware analysis subsystem (src/sa): instruction
 // classification vs the decoder, CFG recovery edge cases, the immobilizer
-// lint acceptance pair, pin-vs-unpinned execution parity on the Table II
-// workloads, the report round trips and the service-side analysis cache.
+// lint acceptance pair, campaign integration, the report round trips and
+// the service-side analysis cache.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,7 +10,6 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "fw/benchmarks.hpp"
 #include "fw/hal.hpp"
 #include "fw/immobilizer.hpp"
 #include "rv/decode.hpp"
@@ -36,8 +35,8 @@ const soc::AesKey kPin = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 // The one consistency contract classify() must honour instruction-for-
 // instruction: terminator status agrees with rv::is_block_terminator, and
 // the load/store/branch buckets agree with the opcode's semantics. A
-// disagreement would let the pin-safety window scan skip (or double-count)
-// an instruction the core actually executes.
+// disagreement would make the analyzer's block and access model diverge
+// from what the core actually executes.
 void check_classify(const rv::Insn& insn) {
   const sa::InsnClass c = sa::classify(insn);
   EXPECT_EQ(c == sa::InsnClass::kTerminator, rv::is_block_terminator(insn.op))
@@ -104,11 +103,9 @@ TEST(SaCfg, StraightLineCallGraphIsComplete) {
   const sa::AnalysisResult r = sa::analyze(prog, nullptr);
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.taint_free);  // no policy: nothing can carry taint
-  EXPECT_EQ(r.pin_mode, "taint-free");
   EXPECT_TRUE(r.unresolved_indirects.empty());
   EXPECT_GE(r.call_entries.size(), 2u);  // main + double_it at least
   EXPECT_GT(r.reachable_instructions, 0u);
-  EXPECT_FALSE(r.pinned_pcs.empty());
   // Every recovered block boundary is inside the image.
   for (const sa::BlockSummary& b : r.blocks) {
     EXPECT_GE(b.start, prog.segments.front().base);
@@ -140,9 +137,6 @@ TEST(SaCfg, UnresolvableIndirectMarksIncomplete) {
   for (const sa::Finding& f : r.findings)
     found = found || f.kind == "unresolved-indirect";
   EXPECT_TRUE(found);
-  // Taint-free pinning survives an incomplete CFG (no tag can ever exist,
-  // so an undiscovered block is still safe to pin).
-  EXPECT_EQ(r.pin_mode, "taint-free");
 }
 
 TEST(SaCfg, SelfModifyingStoreIsFlagged) {
@@ -187,17 +181,14 @@ TEST(SaLint, FixedImmobilizerIsClean) {
   const sa::AnalysisResult r = sa::analyze(prog, &bundle.policy);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.reachable_violations, 0u) << sa::to_text(r);
-  // The fixed firmware still pins: tier-B windowed mode.
-  EXPECT_EQ(r.pin_mode, "windowed");
-  EXPECT_FALSE(r.pinned_pcs.empty());
 }
 
 TEST(SaLint, BgeuFallThroughKeepsUpperBoundSound) {
   // Regression: the bgeu not-taken edge means rs1 < rs2, so rs1 may be as
   // large as hi(rs2) - 1. An earlier version refined rs1 against
   // lo(rs2) - 1 instead; with the non-singleton bound below that hid the
-  // classified byte at buf[5] from the load span, the leak lint came back
-  // clean, and the leaking block was wrongly declared pin-safe.
+  // classified byte at buf[5] from the load span and the leak lint came
+  // back clean.
   rvasm::Assembler a(soc::addrmap::kRamBase);
   fw::emit_crt0(a);
   a.label("main");
@@ -234,14 +225,13 @@ TEST(SaLint, BgeuFallThroughKeepsUpperBoundSound) {
     leak |= f.kind == "reachable-violation" && f.where == "uart0.tx";
   EXPECT_TRUE(leak) << sa::to_text(r);
   EXPECT_GE(r.reachable_violations, 1u);
-  // The block holding the tainted load must be held out of the pin set.
+  // The block holding the tainted load must be reported as touching taint.
   const std::uint64_t pc = prog.symbol("leak");
   bool found_block = false;
   for (const sa::BlockSummary& b : r.blocks)
     if (b.start <= pc && pc < b.end) {
       found_block = true;
       EXPECT_TRUE(b.touches_taint) << sa::to_text(r);
-      EXPECT_FALSE(b.pinned) << sa::to_text(r);
     }
   EXPECT_TRUE(found_block);
 }
@@ -260,93 +250,9 @@ TEST(SaLint, CodeInjectionAttackPredictedStatically) {
   EXPECT_TRUE(fetch) << sa::to_text(r);
 }
 
-// ---- pin-vs-unpinned execution parity ----
-
-struct ParityCase {
-  const char* name;
-  rvasm::Program (*make)();
-  bool engine_ecu;
-};
-
-rvasm::Program small_qsort() { return fw::make_qsort(400, 1234); }
-rvasm::Program small_dhrystone() { return fw::make_dhrystone(2000); }
-rvasm::Program small_primes() { return fw::make_primes(300); }
-rvasm::Program small_sha512() { return fw::make_sha512(256, 2); }
-rvasm::Program small_sha256() { return fw::make_sha256(256, 4); }
-rvasm::Program small_crc32() { return fw::make_crc32(256, 4); }
-rvasm::Program small_matmul() { return fw::make_matmul(12); }
-rvasm::Program small_sensor() { return fw::make_simple_sensor(5); }
-rvasm::Program small_rtos() { return fw::make_rtos_tasks(20, 200); }
-rvasm::Program small_immo() {
-  return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kPin, 3);
-}
-
-class SaPinParity : public ::testing::TestWithParam<ParityCase> {};
-
-// The ahead-of-time pin set must be execution-invisible: same instruction
-// count, same exit, same UART bytes — only the dispatch statistics may
-// differ. One run per workload without pins, one with.
-TEST_P(SaPinParity, InstretIsBitIdentical) {
-  const ParityCase& pc = GetParam();
-  const rvasm::Program prog = pc.make();
-
-  vp::VpConfig cfg;
-  if (std::string(pc.name) == "simple-sensor")
-    cfg.sensor_period = sysc::Time::us(200);
-  if (pc.engine_ecu) {
-    cfg.with_engine_ecu = true;
-    cfg.engine_pin = kPin;
-    cfg.engine_period = sysc::Time::ms(2);
-  }
-
-  auto run_one = [&](bool pinned) {
-    vp::VpDift v(cfg);
-    v.load(prog);
-    auto bundle = pc.engine_ecu
-                      ? vp::scenarios::make_immobilizer_policy(prog, false)
-                      : vp::scenarios::make_permissive_policy();
-    v.apply_policy(bundle.policy);
-    if (pinned) {
-      const sa::AnalysisResult r = sa::analyze(prog, &bundle.policy);
-      EXPECT_NE(r.pin_mode, "none") << pc.name;
-      v.set_pinned_blocks(r.pinned_pcs);
-    }
-    return v.run(sysc::Time::sec(60));
-  };
-
-  const vp::RunResult base = run_one(false);
-  const vp::RunResult pin = run_one(true);
-  ASSERT_TRUE(base.exited()) << pc.name;
-  EXPECT_EQ(base.instret, pin.instret) << pc.name;
-  EXPECT_EQ(base.exit_code, pin.exit_code) << pc.name;
-  EXPECT_EQ(base.uart_output, pin.uart_output) << pc.name;
-  EXPECT_EQ(base.stats.sa_pinned_blocks, 0u);
-  EXPECT_GT(pin.stats.sa_pinned_blocks, 0u) << pc.name;
-  EXPECT_GT(pin.stats.sa_pinned_hits, 0u) << pc.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Table2Workloads, SaPinParity,
-    ::testing::Values(ParityCase{"qsort", small_qsort, false},
-                      ParityCase{"dhrystone", small_dhrystone, false},
-                      ParityCase{"primes", small_primes, false},
-                      ParityCase{"sha512", small_sha512, false},
-                      ParityCase{"sha256", small_sha256, false},
-                      ParityCase{"crc32", small_crc32, false},
-                      ParityCase{"matmul", small_matmul, false},
-                      ParityCase{"simple-sensor", small_sensor, false},
-                      ParityCase{"rtos-tasks", small_rtos, false},
-                      ParityCase{"immo-fixed", small_immo, true}),
-    [](const auto& info) {
-      std::string n = info.param.name;
-      for (auto& c : n)
-        if (c == '-') c = '_';
-      return n;
-    });
-
 // ---- campaign integration ----
 
-TEST(SaCampaign, AnalyzeJobCarriesReportAndPins) {
+TEST(SaCampaign, AnalyzeJobCarriesReport) {
   campaign::JobSpec job;
   job.name = "immo";
   job.firmware = "immobilizer";
@@ -358,14 +264,11 @@ TEST(SaCampaign, AnalyzeJobCarriesReportAndPins) {
   ASSERT_NE(r.verdict, "crash") << r.error;
   ASSERT_TRUE(r.analysis);
   EXPECT_EQ(r.analysis->reachable_violations, 0u);
-  EXPECT_EQ(r.analysis->pin_mode, "windowed");
-  EXPECT_GT(r.run.stats.sa_pinned_blocks, 0u);
-  EXPECT_GT(r.run.stats.sa_pinned_hits, 0u);
 }
 
 TEST(SaCampaign, AttackStillDetectedWithAnalyze) {
-  // The pin set must never mask a dynamic violation: attack 3 under the
-  // code-injection policy trips fetch-clearance with analysis enabled too.
+  // The static pre-pass must never mask a dynamic violation: attack 3 under
+  // the code-injection policy trips fetch-clearance with analysis enabled.
   campaign::JobSpec job;
   job.name = "atk3";
   job.firmware = "attack:3";
@@ -427,9 +330,6 @@ TEST(SaService, AnalysisJsonRoundTripIsLossless) {
     EXPECT_EQ(back.findings[i].detail, r.findings[i].detail);
   }
   EXPECT_EQ(back.reachable_violations, r.reachable_violations);
-  EXPECT_EQ(back.pin_mode, r.pin_mode);
-  EXPECT_EQ(back.pinned_pcs, r.pinned_pcs);
-  EXPECT_EQ(back.pin_hash(), r.pin_hash());
   // The summary report over the round-tripped result is bit-identical.
   EXPECT_EQ(sa::to_json(back), sa::to_json(r));
 }

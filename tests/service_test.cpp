@@ -69,10 +69,10 @@ void expect_same_outcome(const campaign::JobResult& a,
   EXPECT_EQ(a.run.stats.dma_summary_hits, b.run.stats.dma_summary_hits);
   // Promotion events are trajectory-pure (one per plain->tainted taint
   // introduction at a fixed instruction) and must match. The per-dispatch
-  // variant-hit and superblock counters are exempt: this helper also
-  // compares forked tails against cold replays, and a different cache
-  // temperature legitimately changes how the same instruction stream is
-  // grouped into block/trace dispatches.
+  // variant-hit counters are exempt: this helper also compares forked
+  // tails against cold replays, and a different cache temperature
+  // legitimately changes how the same instruction stream is grouped into
+  // block dispatches.
   EXPECT_EQ(a.run.stats.variant_promotions, b.run.stats.variant_promotions);
 }
 
@@ -246,7 +246,7 @@ TEST(Protocol, JobResultSurvivesTheWire) {
     EXPECT_EQ(orig.attempts, back.attempts);
     EXPECT_EQ(orig.error, back.error);
     expect_same_outcome(orig, back);
-    // The full 13-counter DIFT block, not just the trajectory-pure subset.
+    // The full DIFT counter block, not just the trajectory-pure subset.
     EXPECT_EQ(dift::to_json(orig.run.stats), dift::to_json(back.run.stats));
     EXPECT_EQ(orig.run.violation_pc, back.run.violation_pc);
     EXPECT_EQ(orig.run.violation_where, back.run.violation_where);
@@ -256,6 +256,28 @@ TEST(Protocol, JobResultSurvivesTheWire) {
     EXPECT_EQ(orig.run.recorded_violations.size(),
               back.run.recorded_violations.size());
   }
+}
+
+// Every DiftStats counter crosses the wire under its own name: each field
+// gets a distinct value, so a dropped or swapped counter cannot go unseen.
+TEST(Protocol, EveryDiftCounterSurvivesTheWire) {
+  campaign::JobResult orig;
+  std::vector<std::uint64_t> want;
+  orig.run.stats.for_each([&](const char*, std::uint64_t& v) {
+    v = 1000003 * (want.size() + 1) + want.size();
+    want.push_back(v);
+  });
+  // for_each visits every member: DiftStats holds nothing but counters.
+  ASSERT_EQ(want.size(), sizeof(dift::DiftStats) / sizeof(std::uint64_t));
+
+  const campaign::JobResult back = service::job_result_from_json(
+      campaign::json_parse(service::job_result_to_json(orig)));
+  std::vector<std::uint64_t> got;
+  back.run.stats.for_each(
+      [&](const char*, std::uint64_t v) { got.push_back(v); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(back.run.stats.variant_promotions,
+            orig.run.stats.variant_promotions);
 }
 
 TEST(Protocol, DecodedGoldenDrivesTheSuiteLikeTheOriginal) {

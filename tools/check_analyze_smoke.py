@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
 """CI analyzer smoke gate.
 
-Runs vpdift-analyze over the pinned firmware/policy pairs of
+Runs vpdift-analyze over the firmware/policy pairs of
 ci/expected_analyze_smoke.json and compares the verdict fields exactly:
-
-  * `reachable_violations` and the set of violation sites — the acceptance
-    pair (the vulnerable immobilizer must be flagged statically, the fixed
-    build must lint clean) can never silently regress;
-  * `pin_mode`, `pinned_pcs` and `pin_hash` — the pin-set identity. A
-    changed hash means the analyzer started pinning different blocks, which
-    is only acceptable alongside a pin-parity test run (the bit-identity
-    suite in tests/sa_analyze_test.cpp), so it must show up as a deliberate
-    baseline update in the same change.
+`complete`, `reachable_violations` and the set of violation sites. The
+acceptance pair (the vulnerable immobilizer must be flagged statically, the
+fixed build must lint clean) can never silently regress.
 
 Usage: check_analyze_smoke.py <vpdift-analyze-binary> [--expected FILE]
 Exit status: 0 when every case matches, 1 on any mismatch, 2 on usage or
@@ -43,9 +37,6 @@ def check_case(report: dict, want: dict) -> list:
 
     field("complete", report.get("complete"))
     field("reachable_violations", report.get("reachable_violations"))
-    field("pin_mode", report.get("pin_mode"))
-    field("pinned_pcs", report.get("pinned_pcs"))
-    field("pin_hash", report.get("pin_hash"))
 
     sites = sorted(
         f.get("where", "")
@@ -90,11 +81,7 @@ def main() -> int:
             for e in errors:
                 print(f"  {e}")
         else:
-            print(
-                f"OK   {name}: violations={case['reachable_violations']} "
-                f"pin={case['pin_mode']}/{case['pinned_pcs']} "
-                f"hash={case['pin_hash']}"
-            )
+            print(f"OK   {name}: violations={case['reachable_violations']}")
 
     return 1 if failed else 0
 

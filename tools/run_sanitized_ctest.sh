@@ -28,7 +28,7 @@ if [ "$mode" = tsan ]; then
   sanitize=thread
   # The threading tests: campaign subsystem + parallel fuzz + CLI tests that
   # exercise --jobs, plus the fork-campaign and block-engine suites so the
-  # variant-dispatch/superblock paths run under TSan too (ForkCampaign and
+  # variant-dispatch and block-chaining paths run under TSan too (ForkCampaign and
   # BlockEngine are NOT matched by Fi[A-Z] — spell them out). The service
   # resilience suite joins the list because the worker heartbeat thread
   # shares the socketpair (and a progress counter) with the op loop.
