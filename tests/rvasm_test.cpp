@@ -77,6 +77,9 @@ struct RTypeCase {
   const char* name;
   void (Assembler::*emit)(rvasm::Reg, rvasm::Reg, rvasm::Reg);
   rv::Op op;
+  // Without this gtest prints the raw bytes, pointers included, into the
+  // discovered test name, which then changes from one build to the next.
+  friend void PrintTo(const RTypeCase& c, std::ostream* os) { *os << c.name; }
 };
 
 class RTypeRoundTrip : public ::testing::TestWithParam<RTypeCase> {};
