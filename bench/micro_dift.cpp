@@ -4,13 +4,11 @@
 //     design-choice ablation from DESIGN.md),
 //   * byte (de)serialisation used on the TLM path,
 //   * lattice construction/validation cost by class count,
-//   * shadow-summary queries and maintenance (the block fast path),
-//   * end-to-end ISS instruction rate, plain vs tainted core.
+//   * shadow-summary queries and maintenance (the block fast path).
 //
 // Run with --benchmark_format=json (or --benchmark_out=FILE
-// --benchmark_out_format=json) for a machine-readable report; the ISS
-// benchmarks attach the engine counters (lub/s, summary hits/s) as
-// user counters so they appear in that JSON.
+// --benchmark_out_format=json) for a machine-readable report. End-to-end
+// ISS rates are measured by bench/table2_overhead and vpbench.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -19,9 +17,6 @@
 #include "dift/lattice.hpp"
 #include "dift/shadow.hpp"
 #include "dift/taint.hpp"
-#include "fw/benchmarks.hpp"
-#include "vp/scenarios.hpp"
-#include "vp/vp.hpp"
 
 using namespace vpdift;
 using dift::DiftContext;
@@ -165,68 +160,6 @@ void BM_ShadowStoreSplit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShadowStoreSplit);
-
-// End-to-end ISS rate: instructions per second on the primes kernel.
-template <typename VpT>
-void run_iss(benchmark::State& state, bool dift) {
-  std::uint64_t instret = 0;
-  dift::DiftStats stats;
-  for (auto _ : state) {
-    VpT v;
-    v.load(fw::make_primes(4000));
-    auto bundle = vp::scenarios::make_permissive_policy();
-    if (dift) v.apply_policy(bundle.policy);
-    const auto r = v.run(sysc::Time::sec(60));
-    if (!r.exited() || r.exit_code != 0) state.SkipWithError("self-check failed");
-    instret += r.instret;
-    stats += r.stats;
-  }
-  state.counters["instr/s"] =
-      benchmark::Counter(static_cast<double>(instret), benchmark::Counter::kIsRate);
-  state.counters["lub/s"] = benchmark::Counter(
-      static_cast<double>(stats.lub_calls), benchmark::Counter::kIsRate);
-  state.counters["summary_hits/s"] = benchmark::Counter(
-      static_cast<double>(stats.summary_hits()), benchmark::Counter::kIsRate);
-  state.counters["decode_hit_pct"] =
-      stats.decode_hits + stats.decode_misses
-          ? 100.0 * static_cast<double>(stats.decode_hits) /
-                static_cast<double>(stats.decode_hits + stats.decode_misses)
-          : 0.0;
-  const double block_lookups =
-      static_cast<double>(stats.block_hits + stats.block_misses +
-                          stats.block_invalidations + stats.chained_transfers);
-  state.counters["block_hit_pct"] =
-      block_lookups > 0
-          ? 100.0 *
-                static_cast<double>(stats.block_hits + stats.chained_transfers) /
-                block_lookups
-          : 0.0;
-  state.counters["chained_pct"] =
-      block_lookups > 0
-          ? 100.0 * static_cast<double>(stats.chained_transfers) / block_lookups
-          : 0.0;
-  state.counters["block_invalidations"] =
-      static_cast<double>(stats.block_invalidations);
-  // Variant dispatch mix: what fraction of VP+ block dispatches ran the
-  // plain-word (zero tag work) variant, and how often the gate had to
-  // promote mid-block. Plain-VP runs report 0 for all three (the plain core
-  // has no variants to pick between).
-  const double variant_dispatches = static_cast<double>(
-      stats.plain_variant_hits + stats.tainted_variant_hits);
-  state.counters["plain_variant_pct"] =
-      variant_dispatches > 0
-          ? 100.0 * static_cast<double>(stats.plain_variant_hits) /
-                variant_dispatches
-          : 0.0;
-  state.counters["variant_promotions"] =
-      static_cast<double>(stats.variant_promotions);
-}
-
-void BM_IssPlainVp(benchmark::State& state) { run_iss<vp::Vp>(state, false); }
-BENCHMARK(BM_IssPlainVp)->Unit(benchmark::kMillisecond);
-
-void BM_IssDiftVp(benchmark::State& state) { run_iss<vp::VpDift>(state, true); }
-BENCHMARK(BM_IssDiftVp)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

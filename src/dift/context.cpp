@@ -25,6 +25,19 @@ DiftContext::~DiftContext() {
   s_active_ = previous_;
 }
 
+void detail::flow_violation(Tag source, Tag required, ViolationKind kind,
+                            std::uint64_t pc, std::uint64_t address,
+                            const char* where) {
+  if (!g_active.flow)
+    throw LatticeError("DIFT: flow check without an active DiftContext");
+  if (pc == 0) pc = g_active.pc_hint;
+  if (DiftContext* ctx = DiftContext::active(); ctx && ctx->monitor_mode()) {
+    ctx->record({kind, source, required, pc, address, where});
+    return;
+  }
+  throw PolicyViolation(kind, source, required, pc, address, where);
+}
+
 const char* to_string(ViolationKind kind) {
   switch (kind) {
     case ViolationKind::kOutputClearance: return "output-clearance";

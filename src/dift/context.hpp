@@ -125,18 +125,29 @@ inline bool allowed_flow_peek(Tag from, Tag to) {
 /// offending instruction.
 inline void set_pc_hint(std::uint64_t pc) { detail::g_active.pc_hint = pc; }
 
+namespace detail {
+/// Out-of-line half of check_flow(): the flow was not allowed, or no context
+/// is active. Records (monitor mode) or throws; kept cold so the allowed
+/// path inlines into every load, store and branch handler.
+[[gnu::cold]] void flow_violation(Tag source, Tag required, ViolationKind kind,
+                                  std::uint64_t pc, std::uint64_t address,
+                                  const char* where);
+}  // namespace detail
+
 /// Raises PolicyViolation(kind) unless allowed_flow(source, required).
 /// In monitor mode the violation is recorded instead and execution continues.
 inline void check_flow(Tag source, Tag required, ViolationKind kind,
                        std::uint64_t pc = 0, std::uint64_t address = 0,
                        const char* where = "") {
-  if (allowed_flow(source, required)) return;
-  if (pc == 0) pc = detail::g_active.pc_hint;
-  if (DiftContext* ctx = DiftContext::active(); ctx && ctx->monitor_mode()) {
-    ctx->record({kind, source, required, pc, address, where});
-    return;
+  // allowed_flow() spelled out, so that its no-context throw joins the cold
+  // half instead of being inlined into every caller.
+  if (source == required) return;
+  auto& t = detail::g_active;
+  if (t.flow) {
+    ++t.flow_checks;
+    if (t.flow[static_cast<std::size_t>(source) * t.n + required] != 0) return;
   }
-  throw PolicyViolation(kind, source, required, pc, address, where);
+  detail::flow_violation(source, required, kind, pc, address, where);
 }
 
 }  // namespace vpdift::dift

@@ -79,6 +79,12 @@ class ShadowSummary {
   void on_store(std::size_t off, std::size_t len, Tag tag) {
     if (!tags_ || len == 0) return;
     const std::size_t b0 = off >> kBlockShift;
+    // A partial store into a block that is already mixed leaves it mixed.
+    // Partial: the run ends before the block's end, which for a short last
+    // block is the end of the plane.
+    if (blocks_[b0] == kMixed &&
+        (off & (kBlockBytes - 1)) + len < kBlockBytes && off + len < size_)
+      return;
     const std::size_t b1 = (off + len - 1) >> kBlockShift;
     for (std::size_t b = b0; b <= b1; ++b) {
       if (blocks_[b] == tag) continue;

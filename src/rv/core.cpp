@@ -1,6 +1,7 @@
 #include "rv/core.hpp"
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "dift/context.hpp"
 #include "tlmlite/payload.hpp"
@@ -9,6 +10,45 @@ namespace vpdift::rv {
 
 using dift::Tag;
 using dift::ViolationKind;
+
+template <typename W>
+template <std::uint32_t SZ, bool TAGS>
+inline auto Core<W>::dmi_load(std::uint64_t off) -> MemAccess {
+  std::uint32_t value = 0;
+  std::memcpy(&value, dmi_data_ + off, SZ);  // host is little-endian
+  Tag tag = dift::kBottomTag;
+  if constexpr (TAGS) {
+    if (shadow_ && shadow_->uniform(off, SZ, &tag)) {
+      ++stats_.load_summary_hits;
+    } else {
+      const Tag* p = dmi_tags_ + off;
+      tag = p[0];
+      if constexpr (SZ > 1) {
+        using U = std::conditional_t<SZ == 2, std::uint16_t, std::uint32_t>;
+        U word;
+        std::memcpy(&word, p, SZ);
+        if (word != static_cast<U>(tag * static_cast<U>(U(~U{0}) / 0xff)))
+          for (std::uint32_t i = 1; i < SZ; ++i) tag = dift::lub(tag, p[i]);
+      }
+    }
+  }
+  return {value, tag, false};
+}
+
+template <typename W>
+template <std::uint32_t SZ, bool TAGS>
+inline void Core<W>::dmi_store(std::uint64_t off, std::uint32_t value, Tag tag) {
+  // Forward store into the remainder of the executing block: the dispatch
+  // loop must abandon its stale micro-ops and re-translate.
+  if (off < cur_block_hi_ && off + SZ > cur_block_lo_) smc_break_ = true;
+  std::memcpy(dmi_data_ + off, &value, SZ);  // host is little-endian
+  if constexpr (TAGS) {
+    Tag cur = dift::kBottomTag;
+    if (shadow_ && shadow_->uniform(off, SZ, &cur) && cur == tag) return;
+    std::memset(dmi_tags_ + off, tag, SZ);
+    if (shadow_) shadow_->on_store(off, SZ, tag);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Per-instruction handlers.
@@ -159,84 +199,77 @@ struct CoreOps {
     }
   }
 
+  template <std::uint32_t SZ, bool SIGN>
+  static constexpr std::uint32_t extend(std::uint32_t v) {
+    if constexpr (SIGN && SZ == 1)
+      return static_cast<std::uint32_t>(static_cast<std::int8_t>(v));
+    else if constexpr (SIGN && SZ == 2)
+      return static_cast<std::uint32_t>(static_cast<std::int16_t>(v));
+    else
+      return v;
+  }
+
   template <std::uint32_t SZ, bool SIGN, bool PLAIN = false>
   static void h_load(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
-    if constexpr (kT && PLAIN) {
-      if (addr >= c.dmi_base_ &&
-          std::uint64_t(addr) - c.dmi_base_ + SZ <= c.dmi_size_) {
-        // DMI fast path: the plane is uniformly ⊥ (plain-state invariant),
-        // so the result tag is ⊥ and the summary hit is unconditional —
-        // the counter stays in lockstep with the tainted variant.
-        const std::uint64_t off = addr - c.dmi_base_;
-        std::uint32_t value = 0;
-        for (std::uint32_t i = 0; i < SZ; ++i)
-          value |= std::uint32_t(c.dmi_data_[off + i]) << (8 * i);
+    if constexpr (kT && !PLAIN) {
+      if (c.exec_.mem_addr)
+        dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
+                         ViolationKind::kMemAddrClearance, c.pc_, addr,
+                         "core.lsu");
+    }
+    if (c.dmi_covers(addr, SZ)) {
+      const std::uint64_t off = addr - c.dmi_base_;
+      if constexpr (kT && PLAIN) {
+        // The plane is uniformly ⊥ (plain-state invariant), so the result
+        // tag is ⊥ and the summary hit is unconditional — the counter
+        // stays in lockstep with the tainted variant.
+        const auto m = c.template dmi_load<SZ, false>(off);
         ++c.stats_.load_summary_hits;
-        if constexpr (SIGN) {
-          if constexpr (SZ == 1)
-            value = static_cast<std::uint32_t>(static_cast<std::int8_t>(value));
-          else if constexpr (SZ == 2)
-            value = static_cast<std::uint32_t>(static_cast<std::int16_t>(value));
-        }
-        c.wr(d.rd, value, dift::kBottomTag);
-        return;
+        c.wr(d.rd, extend<SZ, SIGN>(m.value), dift::kBottomTag);
+      } else {
+        const auto m = c.template dmi_load<SZ, kT>(off);
+        c.wr(d.rd, extend<SZ, SIGN>(m.value), m.tag);
       }
-      // Bus/MMIO load: full tag semantics (the device may hand back tagged
-      // data, or DMA behind our back) and promotion before the next op.
-      const auto m = c.load(addr, SZ, SIGN);
-      if (m.fault) {
-        c.take_trap(kCauseLoadAccessFault, addr);
-        return;
-      }
-      c.wr(d.rd, m.value, m.tag);
+      return;
+    }
+    const auto m = c.load(addr, SZ, SIGN);
+    if (m.fault) {
+      c.take_trap(kCauseLoadAccessFault, addr);
+      return;
+    }
+    c.wr(d.rd, m.value, m.tag);
+    if constexpr (kT && PLAIN) {
+      // Bus/MMIO load: the device may hand back tagged data, or DMA behind
+      // our back — promote before the next op.
       if (m.tag != dift::kBottomTag || (c.shadow_ && !c.shadow_->all_bottom()))
         c.taint_break_ = true;
-      return;
-    } else {
-      if constexpr (kT) {
-        if (c.exec_.mem_addr)
-          dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
-                           ViolationKind::kMemAddrClearance, c.pc_, addr,
-                           "core.lsu");
-      }
-      const auto m = c.load(addr, SZ, SIGN);
-      if (m.fault) c.take_trap(kCauseLoadAccessFault, addr);
-      else c.wr(d.rd, m.value, m.tag);
     }
   }
 
   template <std::uint32_t SZ, bool PLAIN = false>
   static void h_store(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
-    if constexpr (kT && PLAIN) {
-      if (addr >= c.dmi_base_ &&
-          std::uint64_t(addr) - c.dmi_base_ + SZ <= c.dmi_size_) {
-        // DMI fast path: storing ⊥-tagged data over a ⊥ plane leaves both
-        // the plane and the summary untouched, and plain_state() verified
-        // every store-protection clearance admits ⊥ — no checks needed.
-        const std::uint64_t off = addr - c.dmi_base_;
-        if (off < c.cur_block_hi_ && off + SZ > c.cur_block_lo_)
-          c.smc_break_ = true;
-        const std::uint32_t value = c.rv(d.rs2);
-        for (std::uint32_t i = 0; i < SZ; ++i)
-          c.dmi_data_[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
-        return;
-      }
-      // MMIO store: full path (peripheral clearances, smc_break_).
-      if (c.store(addr, c.rv(d.rs2), dift::kBottomTag, SZ))
-        c.take_trap(kCauseStoreAccessFault, addr);
-      return;
-    } else {
-      if constexpr (kT) {
-        if (c.exec_.mem_addr)
-          dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
-                           ViolationKind::kMemAddrClearance, c.pc_, addr,
-                           "core.lsu");
-      }
-      if (c.store(addr, c.rv(d.rs2), c.rt(d.rs2), SZ))
-        c.take_trap(kCauseStoreAccessFault, addr);
+    if constexpr (kT && !PLAIN) {
+      if (c.exec_.mem_addr)
+        dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
+                         ViolationKind::kMemAddrClearance, c.pc_, addr,
+                         "core.lsu");
     }
+    const std::uint32_t value = c.rv(d.rs2);
+    // The plain variant stores ⊥-tagged data over a ⊥ plane, which leaves
+    // plane and summary untouched, and plain_state() verified every
+    // store-protection clearance admits ⊥ — no checks needed. The tainted
+    // variant leaves the DMI shortcut to store() while store protection is
+    // configured, so the check stays in one place.
+    if (c.dmi_covers(addr, SZ) && (!kT || PLAIN || !c.has_store_prot_)) {
+      c.template dmi_store<SZ, kT && !PLAIN>(addr - c.dmi_base_, value,
+                                             c.rt(d.rs2));
+      return;
+    }
+    // MMIO store (peripheral clearances, smc_break_) or protected store.
+    if (c.store(addr, value, PLAIN ? dift::kBottomTag : c.rt(d.rs2), SZ))
+      c.take_trap(kCauseStoreAccessFault, addr);
   }
 
   static void h_lui(C& c, const Insn& d) {
@@ -441,19 +474,16 @@ auto Core<W>::load(std::uint32_t addr, std::uint32_t size, bool sign_extend)
     -> MemAccess {
   std::uint32_t value = 0;
   Tag tag = dift::kBottomTag;
-  if (addr >= dmi_base_ && std::uint64_t(addr) - dmi_base_ + size <= dmi_size_) {
+  if (dmi_covers(addr, size)) {
     const std::uint64_t off = addr - dmi_base_;
-    for (std::uint32_t i = 0; i < size; ++i)
-      value |= std::uint32_t(dmi_data_[off + i]) << (8 * i);
-    if constexpr (kTainted) {
-      if (shadow_ && shadow_->uniform(off, size, &tag)) {
-        ++stats_.load_summary_hits;
-      } else {
-        tag = dmi_tags_[off];
-        for (std::uint32_t i = 1; i < size; ++i)
-          tag = dift::lub(tag, dmi_tags_[off + i]);
-      }
+    MemAccess m;
+    switch (size) {
+      case 1: m = dmi_load<1, kTainted>(off); break;
+      case 2: m = dmi_load<2, kTainted>(off); break;
+      default: m = dmi_load<4, kTainted>(off); break;
     }
+    value = m.value;
+    tag = m.tag;
   } else {
     std::uint8_t buf[4] = {};
     Tag tbuf[4] = {};
@@ -495,16 +525,12 @@ bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
                          "core.store");
     }
   }
-  if (addr >= dmi_base_ && std::uint64_t(addr) - dmi_base_ + size <= dmi_size_) {
+  if (dmi_covers(addr, size)) {
     const std::uint64_t off = addr - dmi_base_;
-    // Forward store into the remainder of the executing block: the dispatch
-    // loop must abandon its stale micro-ops and re-translate.
-    if (off < cur_block_hi_ && off + size > cur_block_lo_) smc_break_ = true;
-    for (std::uint32_t i = 0; i < size; ++i)
-      dmi_data_[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
-    if constexpr (kTainted) {
-      for (std::uint32_t i = 0; i < size; ++i) dmi_tags_[off + i] = tag;
-      if (shadow_) shadow_->on_store(off, size, tag);
+    switch (size) {
+      case 1: dmi_store<1, kTainted>(off, value, tag); break;
+      case 2: dmi_store<2, kTainted>(off, value, tag); break;
+      default: dmi_store<4, kTainted>(off, value, tag); break;
     }
     return false;
   }
@@ -551,7 +577,7 @@ void Core<W>::transport_with_pc(tlmlite::Payload& p, sysc::Time& delay) {
 
 template <typename W>
 auto Core<W>::fetch32(std::uint32_t addr) -> MemAccess {
-  if (addr >= dmi_base_ && std::uint64_t(addr) - dmi_base_ + 4 <= dmi_size_) {
+  if (dmi_covers(addr, 4)) {
     const std::uint64_t off = addr - dmi_base_;
     std::uint32_t value;
     std::memcpy(&value, dmi_data_ + off, 4);  // host is little-endian
@@ -1033,7 +1059,7 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
       prev = nullptr;
       continue;
     }
-    if (pc_ >= dmi_base_ && std::uint64_t(pc_) - dmi_base_ + 4 <= dmi_size_) {
+    if (dmi_covers(pc_, 4)) {
       const std::uint64_t off = std::uint64_t(pc_) - dmi_base_;
       bool fresh = false;
       Block* b = nullptr;

@@ -239,9 +239,27 @@ class Core {
 
   void execute(const Insn& d);
   void transport_with_pc(tlmlite::Payload& p, sysc::Time& delay);
+  /// Data access of `size` (1, 2 or 4) bytes: DMI window or bus.
   MemAccess load(std::uint32_t addr, std::uint32_t size, bool sign_extend);
   bool store(std::uint32_t addr, std::uint32_t value, dift::Tag tag,
              std::uint32_t size);
+
+  /// True iff [addr, addr+size) lies inside the DMI window.
+  bool dmi_covers(std::uint32_t addr, std::uint32_t size) const {
+    return addr >= dmi_base_ && std::uint64_t(addr) - dmi_base_ + size <= dmi_size_;
+  }
+  /// DMI access of SZ bytes at window offset `off`, shared by load()/store()
+  /// and every handler variant. The value moves word-wide. With TAGS, the
+  /// load tag comes from the shadow summary first (a load_summary_hits hit),
+  /// else from the SZ plane bytes read as one word: equal bytes are the tag,
+  /// only differing ones walk the per-byte LUB, so lub_calls stays exact.
+  /// The store skips the plane write when the summary already holds `tag`
+  /// over the run, and otherwise writes the SZ tag bytes as one unit.
+  template <std::uint32_t SZ, bool TAGS>
+  MemAccess dmi_load(std::uint64_t off);
+  template <std::uint32_t SZ, bool TAGS>
+  void dmi_store(std::uint64_t off, std::uint32_t value, dift::Tag tag);
+
   void take_trap(std::uint32_t cause, std::uint32_t tval);
   void check_interrupts();
   void do_csr(const Insn& d);
