@@ -2,13 +2,13 @@
 
 namespace vpdift::dift {
 
-void ShadowSummary::attach(Tag* tags, std::size_t size) {
+void ShadowSummary::attach(Tag* tags, std::size_t size, bool known_bottom) {
   tags_ = tags;
   size_ = tags ? size : 0;
   blocks_.assign(tags ? (size_ + kBlockBytes - 1) >> kBlockShift : 0, 0);
   live_blocks_ = 0;
   ++generation_;
-  if (tags_) rebuild();
+  if (tags_ && !known_bottom) rebuild();
 }
 
 std::uint16_t ShadowSummary::rescan_block(std::size_t block) {

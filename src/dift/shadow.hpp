@@ -13,9 +13,10 @@
 // writers keep the summary coherent on every tag-plane store.
 //
 // Coherence contract: every write to the attached tag plane MUST be followed
-// by on_store()/on_store_bytes() over the written range (or rebuild() after
-// a bulk restore). The summary is conservative — kMixed is always safe — but
-// a uniform summary must never disagree with the plane.
+// by on_store()/on_store_bytes() over the written range — a snapshot restore
+// does this per page it writes (soc::Memory::restore), and rebuild() rescans
+// a plane written wholesale. The summary is conservative — kMixed is always
+// safe — but a uniform summary must never disagree with the plane.
 //
 // A generation counter bumps on every summary change; the core memoises
 // "this fetch block is uniform and cleared for execution" against it, which
@@ -40,7 +41,9 @@ class ShadowSummary {
   ShadowSummary() = default;
 
   /// Attaches to (and scans) a tag plane. Pass nullptr to detach.
-  void attach(Tag* tags, std::size_t size);
+  /// `known_bottom`: the caller guarantees the plane is uniformly kBottomTag
+  /// (e.g. fresh from calloc), so the scan is skipped.
+  void attach(Tag* tags, std::size_t size, bool known_bottom = false);
   bool attached() const { return tags_ != nullptr; }
 
   std::size_t block_count() const { return blocks_.size(); }
@@ -106,7 +109,7 @@ class ShadowSummary {
   /// to the plane at [off, off+len)). Scans only the written run per block.
   void on_store_bytes(std::size_t off, std::size_t len);
 
-  /// Rescans the whole plane (e.g. after a snapshot restore memcpy'd it).
+  /// Rescans the whole plane (after a caller wrote it wholesale).
   void rebuild();
 
   /// Rescans one block; returns its new summary. Used by rebuild() and by

@@ -4,7 +4,8 @@
 // a campaign of N faults costs O(N x full run). The fork engine instead runs
 // the fault-free golden trajectory ONCE per worker ("the cursor"), snapshots
 // the full VP state at each fault site (vp::VpSnapshot: architectural state,
-// RAM + tag plane, every peripheral, kernel process phases), and runs only
+// the non-zero pages of RAM + tag plane, every peripheral, kernel process
+// phases), and runs only
 // the post-fault tail of each job on a fresh VP restored from that snapshot —
 // O(golden + sum of tails).
 //
@@ -64,11 +65,10 @@ struct ForkStats {
 /// the warm path of a repeated fork campaign. A site already cached replays
 /// its tails straight from the stored snapshot (or synthesizes its result
 /// from the stored golden outcome for sites the cursor never reached)
-/// without running a cursor at all. Single-threaded by design: snapshots
-/// are heavyweight (~RAM size each) and the golden JobResult embeds
-/// thread-confined provenance, so a cache must only ever be driven from one
-/// thread — the serial run_forked_subset path (the service's worker
-/// processes each own one per suite).
+/// without running a cursor at all. Single-threaded by design: the golden
+/// JobResult embeds thread-confined provenance, so a cache must only ever
+/// be driven from one thread — the serial run_forked_subset path (the
+/// service's worker processes each own one per suite).
 struct FiSiteCache {
   struct Entry {
     std::shared_ptr<const vp::VpSnapshot> snap;  ///< null when unreached
@@ -82,10 +82,11 @@ struct FiSiteCache {
   campaign::JobResult golden;
   bool have_golden = false;
 
-  /// Stored-snapshot bound: a full-fidelity snapshot is about the size of
-  /// the VP's RAM + tag plane, so an unbounded cache would grow by ~8 MB per
-  /// distinct site. When full, further sites run cold (deterministically) —
-  /// they are simply never stored, not evicted.
+  /// Stored-snapshot bound. A snapshot holds only the RAM and tag pages
+  /// that are not all zero (a few KiB to tens of KiB for the bundled
+  /// firmware), but a firmware that fills its RAM makes each one up to
+  /// RAM + tag plane in size. When full, further sites run cold
+  /// (deterministically) — they are simply never stored, not evicted.
   std::size_t snapshot_cap = 64;
   std::size_t stored = 0;   ///< snapshots currently held
   std::uint64_t hits = 0;   ///< sites served from the cache

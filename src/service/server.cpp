@@ -121,6 +121,13 @@ struct PendingOp {
   std::set<std::size_t> received;        ///< kFiChunk: already streamed
   std::string line;                      ///< wire message, id substituted
   bool sent = false;
+  /// The worker acknowledged the op ("start"): a death after this point
+  /// loses the op; before it, the op never ran and requeues.
+  bool started = false;
+  /// Already requeued once after its worker died before starting it; a
+  /// second such loss fails it (an op that kills workers as they read it
+  /// must not cycle forever).
+  bool requeued = false;
   /// kJob with a wall budget: when the server stops waiting for the worker
   /// to enforce the budget itself and escalates (send time + budget +
   /// deadline grace).
@@ -808,9 +815,9 @@ void Server::pump_worker(std::size_t w) {
           std::chrono::milliseconds(opts_.deadline_grace_ms);
     }
     wp.outstanding.push_back(op_id);
-    // On failure send_worker runs worker_gone, which fails every op on
-    // this worker (including this one) and requeues nothing sendable — so
-    // just stop pumping.
+    // On failure send_worker runs worker_gone, which requeues this
+    // unstarted op onto the respawn and pumps that — so just stop pumping
+    // here.
     if (!send_worker(w, op.line)) return;
   }
 }
@@ -1032,6 +1039,10 @@ void Server::handle_worker_line(std::size_t w, const std::string& line) {
   }
   if (oit == ops_.end()) return;  // late event for a dropped submission
   PendingOp& op = oit->second;
+  if (ev == "start") {
+    op.started = true;
+    return;
+  }
   auto sit = subs_.find(op.sub);
 
   if (ev == "job") {
@@ -1237,12 +1248,27 @@ void Server::worker_gone(std::size_t w) {
   // Every path here is an involuntary death (clean quits only happen in
   // teardown, which never comes through worker_gone).
   ++totals_.killed_workers;
-  const std::vector<std::uint64_t> lost = wp.outstanding;
-  wp.outstanding.clear();
   // Unsent backlog survives the death: it requeues onto the respawn. Swap
   // it out first so the op_failed cascade below can't touch it.
   std::deque<std::uint64_t> backlog;
   backlog.swap(wp.queued);
+  // So does an in-flight op the worker never started: its line died unread
+  // in the socket (e.g. sent to an idle worker that was being killed). An
+  // escalation kill keeps its "hung" verdict either way.
+  std::vector<std::uint64_t> lost;
+  for (auto it = wp.outstanding.rbegin(); it != wp.outstanding.rend(); ++it) {
+    const auto op = ops_.find(*it);
+    if (!hang && op != ops_.end() && !op->second.started &&
+        !op->second.requeued) {
+      op->second.sent = false;
+      op->second.deadline.reset();
+      op->second.requeued = true;
+      backlog.push_front(*it);
+    } else {
+      lost.insert(lost.begin(), *it);
+    }
+  }
+  wp.outstanding.clear();
   wp.escalation = 0;
   wp.killed_for_hang = false;
   if (!lost.empty())

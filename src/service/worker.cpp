@@ -84,6 +84,7 @@ int worker_main(int fd, const WorkerConfig& cfg) {
 
       current_op.store(id, std::memory_order_relaxed);
       progress.store(0, std::memory_order_relaxed);
+      send(ev_head("start", id) + "}");
 
       const CacheStats before = cache.stats();
       auto delta = [&] { return (cache.stats() - before).to_json(); };

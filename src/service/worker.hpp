@@ -16,6 +16,9 @@
 //   {"op":"quit"}                               exit 0
 //
 // Replies (worker -> parent):
+//   {"ev":"start","id":N}                       op N was read and starts
+//       now; an op lost with its worker before this line never ran, so
+//       the parent requeues it onto the respawn instead of failing it
 //   {"ev":"job","id":N,"result":{...}}          one fi fault finished
 //   {"ev":"result","id":N,...}                  op finished; carries
 //       "result" (job/fi-golden), or "fork" + "skipped" (fi), and always

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,18 +16,61 @@
 
 namespace vpdift::soc {
 
+/// Sparse copy of a byte plane (RAM or its tag plane): only the 4 KiB pages
+/// that are not all zero are held. Zero is both the reset value of RAM and
+/// kBottomTag, so an absent page reads as zero data or as ⊥ tags. A
+/// mid-run snapshot of the bundled firmware holds a handful of RAM pages
+/// and usually no tag page at all.
+class SparsePlane {
+ public:
+  static constexpr std::size_t kPageShift = 12;
+  static constexpr std::size_t kPageBytes = std::size_t(1) << kPageShift;
+
+  SparsePlane() = default;
+  /// An all-zero plane of `plane_size` bytes (holds no page).
+  explicit SparsePlane(std::size_t plane_size) : plane_size_(plane_size) {}
+
+  /// Size of the plane this copy stands for.
+  std::size_t plane_size() const { return plane_size_; }
+  /// Bytes held (whole pages).
+  std::size_t size() const { return bytes_.size(); }
+  /// True iff no page is held: the plane is all zero.
+  bool empty() const { return pages_.empty(); }
+
+  /// Byte at plane offset `off` (0 on a page not held). Throws
+  /// std::out_of_range past plane_size().
+  std::uint8_t at(std::size_t off) const;
+
+  /// Appends page `page` (ascending order) copied from `src`, which holds
+  /// the page's bytes up to the end of the plane.
+  void add_page(std::size_t page, const std::uint8_t* src);
+
+  /// Held page numbers, ascending; held_page(i) is page pages()[i].
+  const std::vector<std::size_t>& pages() const { return pages_; }
+  const std::uint8_t* held_page(std::size_t i) const {
+    return bytes_.data() + i * kPageBytes;
+  }
+
+ private:
+  std::size_t plane_size_ = 0;
+  std::vector<std::size_t> pages_;
+  std::vector<std::uint8_t> bytes_;
+};
+
 /// Byte-addressable RAM. In the DIFT build every byte carries a dift::Tag in
-/// a parallel plane; the plain VP allocates no tag storage at all.
+/// a parallel plane; the plain VP allocates no tag storage at all. Both
+/// planes come zero-filled from the allocator, so RAM that a run never
+/// touches costs neither a memset nor a summary scan.
 class Memory : public sysc::Module {
  public:
   Memory(sysc::Simulation& sim, std::string name, std::size_t size, bool track_tags);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
 
-  std::uint8_t* data() { return data_.data(); }
-  dift::Tag* tags() { return tags_.empty() ? nullptr : tags_.data(); }
-  std::size_t size() const { return data_.size(); }
-  bool tracks_tags() const { return !tags_.empty(); }
+  std::uint8_t* data() { return data_.get(); }
+  dift::Tag* tags() { return tags_.get(); }
+  std::size_t size() const { return size_; }
+  bool tracks_tags() const { return tags_ != nullptr; }
 
   /// Copies all program segments into RAM. Segment addresses are absolute
   /// bus addresses; `ram_base` is this memory's mapping base.
@@ -44,20 +89,45 @@ class Memory : public sysc::Module {
   /// Empty when tags are not tracked.
   std::map<dift::Tag, std::size_t> tag_histogram() const;
 
+  /// RAM pages that are not all zero.
+  SparsePlane save_data() const;
+  /// Tag pages holding a block the summary does not call uniformly ⊥; the
+  /// tag plane itself is never scanned. Untracked: an empty, sizeless plane.
+  SparsePlane save_tags() const;
+  /// Makes RAM equal `data` and the tag plane equal `tags` (an empty `tags`
+  /// means all ⊥; ignored when untracked). Writes the held pages and zeroes
+  /// only the other pages that are non-zero, or whose summary is live; the
+  /// summary is rescanned over the pages written. Throws
+  /// std::invalid_argument, before changing anything, when a plane's size
+  /// differs from this memory's.
+  void restore(const SparsePlane& data, const SparsePlane& tags);
+  /// Zero data and ⊥ tags, at the cost of restore() from empty planes.
+  void clear() { restore(SparsePlane(size_), SparsePlane()); }
+
   /// Block-summary layer over the tag plane (unattached when untracked).
   dift::ShadowSummary& shadow() { return shadow_; }
   const dift::ShadowSummary& shadow() const { return shadow_; }
-  /// Call after writing the tag plane directly (e.g. snapshot restore).
+  /// Call after writing the tag plane directly.
   void rebuild_summary() { shadow_.rebuild(); }
   /// Reads served from a uniform block without touching the tag plane.
   std::uint64_t summary_hits() const { return summary_hits_; }
 
  private:
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  template <typename T>
+  using Plane = std::unique_ptr<T[], FreeDeleter>;
+
   void transport(tlmlite::Payload& p, sysc::Time& delay);
+  /// Bytes of page `page` (the last page may be short).
+  std::size_t page_len(std::size_t page) const;
+  bool tag_page_live(std::size_t page) const;
 
   tlmlite::TargetSocket tsock_;
-  std::vector<std::uint8_t> data_;
-  std::vector<dift::Tag> tags_;
+  std::size_t size_;
+  Plane<std::uint8_t> data_;
+  Plane<dift::Tag> tags_;
   dift::ShadowSummary shadow_;
   std::uint64_t summary_hits_ = 0;
 };

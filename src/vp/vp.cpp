@@ -1,6 +1,5 @@
 #include "vp/vp.hpp"
 #include <cstdio>
-#include <cstring>
 
 namespace vpdift::vp {
 
@@ -139,12 +138,8 @@ void VirtualPrototype<W>::reset(bool keep_translations) {
   if (!keep_translations) core_.invalidate_blocks();
   boot_pc_ = am::kRamBase;
 
-  // Memory: zero data, bottom tags, fresh summaries.
-  std::memset(ram_.data(), 0, ram_.size());
-  if (ram_.tags()) {
-    std::memset(ram_.tags(), dift::kBottomTag, ram_.size());
-    ram_.rebuild_summary();
-  }
+  // Memory: zero data, bottom tags, coherent summaries.
+  ram_.clear();
 
   // Peripherals: power-on state (State{} defaults equal the member
   // initializers — pinned by the warm re-arm tests).
@@ -259,8 +254,8 @@ auto VirtualPrototype<W>::snapshot() -> Snapshot {
   s.csrs = core_.csrs();
   s.instret = core_.instret();
   s.wfi = core_.in_wfi();
-  s.ram.assign(ram_.data(), ram_.data() + ram_.size());
-  if (ram_.tags()) s.ram_tags.assign(ram_.tags(), ram_.tags() + ram_.size());
+  s.ram = ram_.save_data();
+  s.ram_tags = ram_.save_tags();
   s.captured_at = sim_->now();
 
   // CPU process phase. Mid-quantum (arm_fault callback): the quantum's
@@ -291,26 +286,17 @@ auto VirtualPrototype<W>::snapshot() -> Snapshot {
 
 template <typename W>
 void VirtualPrototype<W>::restore(const Snapshot& s) {
-  if (s.ram.size() != ram_.size())
-    throw std::invalid_argument("snapshot RAM size mismatch");
+  // First, because it rejects a size mismatch before changing anything. A
+  // snapshot from a plain VP carries no tag plane: stale tags from the
+  // pre-restore run must not leak into the restored world, so the restore
+  // clears them to the bottom element.
+  ram_.restore(s.ram, s.ram_tags);
   for (int r = 1; r < 32; ++r)
     core_.set_reg(static_cast<std::uint8_t>(r),
                   rv::WordOps<W>::make(s.reg_values[r], s.reg_tags[r]));
   core_.set_pc(s.pc);
   core_.csrs() = s.csrs;
   core_.restore_counters(s.instret, s.wfi);
-  std::memcpy(ram_.data(), s.ram.data(), s.ram.size());
-  if (ram_.tags()) {
-    if (!s.ram_tags.empty()) {
-      std::memcpy(ram_.tags(), s.ram_tags.data(), s.ram_tags.size());
-    } else {
-      // Snapshot from a plain VP: it carries no tag plane. Stale tags from
-      // the pre-restore run must not leak into the restored world — clear
-      // to the bottom element instead.
-      std::memset(ram_.tags(), dift::kBottomTag, ram_.size());
-    }
-    ram_.rebuild_summary();  // block summaries must mirror the restored plane
-  }
   // RAM changed behind the store path: cached translations (and chained
   // block successors) may now point at stale code bytes, and smc_break_
   // never fired for them.

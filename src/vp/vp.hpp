@@ -144,9 +144,13 @@ bool config_equivalent(const VpConfig& a, const VpConfig& b);
 ///    `fault_was_armed`/`fault_trigger` record that one existed (the
 ///    callback itself is not serialisable) and restore() disarms.
 ///
+/// RAM and tag plane are sparse (soc::SparsePlane): only pages that are not
+/// all zero / all ⊥ are held, so a snapshot costs a few KiB, not the size
+/// of RAM twice, and restore() touches only the pages either side uses.
+///
 /// The struct is deliberately not a template: a plain-VP snapshot has an
 /// empty `ram_tags`; restoring it into a DIFT VP clears the target's tag
-/// plane to kBottomTag (and rebuilds the shadow summary) rather than
+/// plane to kBottomTag (keeping the shadow summary coherent) rather than
 /// silently keeping stale tags.
 struct VpSnapshot {
   std::array<std::uint32_t, 32> reg_values{};
@@ -155,8 +159,8 @@ struct VpSnapshot {
   rv::CsrFile csrs;
   std::uint64_t instret = 0;
   bool wfi = false;
-  std::vector<std::uint8_t> ram;
-  std::vector<dift::Tag> ram_tags;
+  soc::SparsePlane ram;
+  soc::SparsePlane ram_tags;
   sysc::Time captured_at;
 
   // CPU process phase: instructions already retired inside the interrupted

@@ -590,12 +590,23 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
   const std::string sock = temp_socket_path();
   const pid_t daemon = fork_daemon(sock, 2);
 
-  // Submit from a separate process so the kill lands mid-flight.
+  // Submit from a separate process so the kill lands mid-flight: the kid
+  // writes one byte down `ready` at its first streamed job event, i.e.
+  // while the fault chunks are running.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
   const pid_t kid = ::fork();
   if (kid == 0) {
+    ::close(ready[0]);
     try {
       service::Client c(sock);
-      const service::Outcome o = c.submit_ref("fi:attack:3:40", 5, 2);
+      const service::Outcome o = c.submit_ref(
+          "fi:attack:3:40", 5, 2, [&](const service::JobEvent&) {
+            if (ready[1] < 0) return;
+            (void)!::write(ready[1], "j", 1);
+            ::close(ready[1]);
+            ready[1] = -1;
+          });
       // Either a report (crash verdicts included) or a clean error event:
       // what matters is that the daemon answered at all.
       ::_exit(!o.report.empty() || !o.error.empty() ? 0 : 1);
@@ -603,7 +614,10 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
       ::_exit(1);
     }
   }
-  ::usleep(100 * 1000);  // let the submission reach the workers
+  ::close(ready[1]);
+  char byte = 0;
+  EXPECT_EQ(::read(ready[0], &byte, 1), 1) << "no job event streamed";
+  ::close(ready[0]);
   for (const pid_t w : children_of(daemon)) ::kill(w, SIGKILL);
 
   int st = 0;
@@ -624,6 +638,28 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
   c2.shutdown_server();
   int dst = 0;
   EXPECT_TRUE(wait_exit(daemon, &dst, 60));
+  ::unlink(sock.c_str());
+}
+
+TEST(ServiceDaemon, SubmissionRightAfterIdleWorkersDieRunsOnTheRespawns) {
+  // Regression: an op sent to a worker that had just died never reached
+  // it, yet the daemon failed it as "worker crashed" instead of running it
+  // on the respawned worker. Killing idle workers and submitting at once
+  // races the submission against the deaths; a few rounds cover both
+  // orders.
+  const std::string sock = temp_socket_path();
+  const pid_t daemon = fork_daemon(sock, 2);
+  service::Client c(sock);
+  for (int round = 0; round < 6; ++round) {
+    for (const pid_t w : children_of(daemon)) ::kill(w, SIGKILL);
+    const service::Outcome o = c.submit_ref("fi:attack:3:4", 7, 2);
+    EXPECT_TRUE(o.error.empty()) << "round " << round << ": " << o.error;
+    EXPECT_TRUE(o.ok) << "round " << round;
+    EXPECT_FALSE(o.report.empty()) << "round " << round;
+  }
+  c.shutdown_server();
+  int st = 0;
+  EXPECT_TRUE(wait_exit(daemon, &st, 60));
   ::unlink(sock.c_str());
 }
 

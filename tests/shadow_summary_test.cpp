@@ -262,8 +262,8 @@ TEST(DiftStats, PlainVpKeepsTagCountersZero) {
   EXPECT_GT(r.stats.decode_hits, 0u);
 }
 
-// Snapshot restore memcpys the tag plane behind the summary's back; restore()
-// must rebuild it so later uniform() answers stay truthful.
+// Snapshot restore writes tag pages behind the summary's back; restore()
+// must rescan what it wrote so later uniform() answers stay truthful.
 TEST(ShadowSummary, SnapshotRestoreRebuildsSummary) {
   vp::VpDift v;
   v.load(fw::make_primes(200));

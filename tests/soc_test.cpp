@@ -131,6 +131,47 @@ TEST(MemoryPeriph, LoadImageRejectsOutOfRangeSegment) {
   EXPECT_THROW(mem.load_image(p, 0x80000000), std::out_of_range);
 }
 
+TEST(MemoryPeriph, SparseSaveHoldsOnlyNonZeroPages) {
+  constexpr std::size_t kPage = soc::SparsePlane::kPageBytes;
+  sysc::Simulation sim;
+  soc::Memory mem(sim, "ram", 3 * kPage + 100, true);  // short last page
+  EXPECT_TRUE(mem.save_data().empty());
+  EXPECT_TRUE(mem.save_tags().empty());
+  mem.write_u32(kPage + 8, 0x01020304);
+  mem.write_u32(3 * kPage + 96, 0xa5a5a5a5);  // the last 4 bytes
+  mem.classify(3 * kPage + 10, 2, 7);
+
+  const soc::SparsePlane data = mem.save_data();
+  EXPECT_EQ(data.plane_size(), mem.size());
+  EXPECT_EQ(data.pages(), (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(data.size(), 2 * kPage);
+  EXPECT_EQ(data.at(kPage + 8), 0x04);
+  EXPECT_EQ(data.at(3 * kPage + 99), 0xa5);
+  EXPECT_EQ(data.at(0), 0);  // a page not held reads as zero
+  EXPECT_THROW(data.at(mem.size()), std::out_of_range);
+  const soc::SparsePlane tags = mem.save_tags();
+  EXPECT_EQ(tags.pages(), (std::vector<std::size_t>{3}));
+  EXPECT_EQ(tags.at(3 * kPage + 11), 7);
+
+  // Restore over different contents: held pages come back, the rest zero.
+  mem.clear();
+  EXPECT_EQ(mem.read_u32(kPage + 8), 0u);
+  EXPECT_TRUE(mem.shadow().all_bottom());
+  mem.write_u32(2 * kPage, 0xffffffff);
+  mem.classify(0, 4, 3);
+  mem.restore(data, tags);
+  EXPECT_EQ(mem.read_u32(kPage + 8), 0x01020304u);
+  EXPECT_EQ(mem.read_u32(3 * kPage + 96), 0xa5a5a5a5u);
+  EXPECT_EQ(mem.read_u32(2 * kPage), 0u);
+  EXPECT_EQ(mem.tag_at(0), dift::kBottomTag);
+  EXPECT_EQ(mem.tag_at(3 * kPage + 10), 7);
+  EXPECT_EQ(mem.shadow().live_blocks(), 1u);
+
+  // A plane of another size is rejected before anything changes.
+  EXPECT_THROW(mem.restore(soc::SparsePlane(16), tags), std::invalid_argument);
+  EXPECT_EQ(mem.read_u32(kPage + 8), 0x01020304u);
+}
+
 // ---- UART ----
 
 class UartTest : public ::testing::Test {

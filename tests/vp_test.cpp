@@ -1,5 +1,9 @@
 // VP-level integration: construction, loading, run control, monitor mode,
 // violation context, taint statistics.
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fw/benchmarks.hpp"
@@ -227,7 +231,7 @@ TEST(VpSnapshot, CapturesTagsOnTheDiftVp) {
 TEST(VpSnapshot, SizeMismatchRejected) {
   vp::Vp v;
   vp::Vp::Snapshot bogus;
-  bogus.ram.resize(16);
+  bogus.ram = soc::SparsePlane(16);  // a 16-byte plane against 4 MiB of RAM
   EXPECT_THROW(v.restore(bogus), std::invalid_argument);
 }
 
@@ -287,6 +291,129 @@ TEST(VpSnapshot, PlainSnapshotClearsDiftTagPlane) {
   dift::Tag t = 0xff;
   EXPECT_TRUE(d.ram().shadow().uniform(pin_off, 16, &t));
   EXPECT_EQ(t, dift::kBottomTag);
+  EXPECT_TRUE(d.ram().shadow().all_bottom());
+}
+
+constexpr std::size_t kPage = soc::SparsePlane::kPageBytes;
+
+/// The full plane a sparse copy stands for.
+std::vector<std::uint8_t> expand(const soc::SparsePlane& p) {
+  std::vector<std::uint8_t> out(p.plane_size(), 0);
+  for (std::size_t i = 0; i < p.pages().size(); ++i) {
+    const std::size_t off = p.pages()[i] * kPage;
+    std::copy_n(p.held_page(i), std::min(kPage, out.size() - off),
+                out.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  return out;
+}
+
+/// Every block summary equals a fresh rescan of its block: exact, not just
+/// conservative.
+void expect_summary_exact(soc::Memory& ram) {
+  dift::ShadowSummary& s = ram.shadow();
+  for (std::size_t b = 0; b < s.block_count(); ++b) {
+    const std::uint16_t summary = s.block_summary(b);
+    ASSERT_EQ(s.rescan_block(b), summary) << "block " << b;
+  }
+}
+
+/// An immobilizer VP+ under its policy (the PIN is classified), started and
+/// run for a while.
+struct RunImmobilizer {
+  rvasm::Program prog =
+      fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kPin, 1);
+  vp::scenarios::PolicyBundle bundle =
+      vp::scenarios::make_immobilizer_policy(prog, false);
+  vp::VpDift v;
+  RunImmobilizer() {
+    v.load(prog);
+    v.apply_policy(bundle.policy);
+  }
+};
+
+// Restoring into a started VP: bytes and tags dirtied on pages the snapshot
+// does not hold must come back zero / ⊥, and every summary must be exact.
+TEST(VpSnapshot, RestoreIntoAStartedVpClearsPagesOutsideTheSnapshot) {
+  RunImmobilizer r;
+  const auto snap = r.v.snapshot();
+  ASSERT_FALSE(snap.ram_tags.empty());  // the classified PIN
+  (void)r.v.run(sysc::Time::ms(2));
+
+  const std::size_t mid = r.v.ram().size() / 2;
+  const auto& held = snap.ram.pages();
+  ASSERT_EQ(std::count(held.begin(), held.end(), mid / kPage), 0);
+  r.v.ram().write_u32(mid, 0xdeadbeef);
+  r.v.ram().classify(mid + 3, 3 * dift::ShadowSummary::kBlockBytes,
+                     r.bundle.lattice->tag_of("(HC,HI)"));
+  // And clear the whole blocks around the PIN, whose tag page the snapshot
+  // does hold: their summaries drop to ⊥, and the restore must bring them
+  // back.
+  constexpr std::size_t kB = dift::ShadowSummary::kBlockBytes;
+  const std::size_t pin_off = r.prog.symbol("pin") - soc::addrmap::kRamBase;
+  const std::size_t b0 = pin_off & ~(kB - 1);
+  const std::size_t b1 = (pin_off + 16 + kB - 1) & ~(kB - 1);
+  r.v.ram().classify(b0, b1 - b0, dift::kBottomTag);
+
+  r.v.restore(snap);
+  EXPECT_EQ(r.v.ram().read_u32(mid), 0u);
+  EXPECT_EQ(r.v.ram().tag_at(mid + 3), dift::kBottomTag);
+  const std::size_t n = r.v.ram().size();
+  EXPECT_TRUE(std::equal(r.v.ram().data(), r.v.ram().data() + n,
+                         expand(snap.ram).begin()));
+  EXPECT_TRUE(std::equal(r.v.ram().tags(), r.v.ram().tags() + n,
+                         expand(snap.ram_tags).begin()));
+  expect_summary_exact(r.v.ram());
+}
+
+TEST(VpSnapshot, ResetLeavesZeroRamBottomTagsAndExactSummaries) {
+  RunImmobilizer r;
+  (void)r.v.run(sysc::Time::ms(2));
+  ASSERT_FALSE(r.v.ram().shadow().all_bottom());
+  r.v.reset();
+  const std::size_t n = r.v.ram().size();
+  EXPECT_TRUE(std::all_of(r.v.ram().data(), r.v.ram().data() + n,
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(std::all_of(r.v.ram().tags(), r.v.ram().tags() + n,
+                          [](dift::Tag t) { return t == dift::kBottomTag; }));
+  EXPECT_TRUE(r.v.ram().shadow().all_bottom());
+  expect_summary_exact(r.v.ram());
+  const auto snap = r.v.snapshot();
+  EXPECT_TRUE(snap.ram.empty());
+  EXPECT_TRUE(snap.ram_tags.empty());
+}
+
+// The point of the sparse representation: a fork-site snapshot of a Table
+// II kernel costs kilobytes, not RAM + tag plane (8 MiB).
+TEST(VpSnapshot, MidRunQsortSnapshotHoldsAtMost64KiB) {
+  const auto prog = fw::make_qsort(5000, 1);
+  auto bundle = vp::scenarios::make_permissive_policy();
+  auto make = [&] {
+    auto v = std::make_unique<vp::VpDift>();
+    v->load(prog);
+    v->apply_policy(bundle.policy);
+    return v;
+  };
+  const std::uint64_t instret = make()->run(sysc::Time::sec(60)).instret;
+  auto v = make();
+  vp::VpSnapshot snap;
+  v->core().arm_fault(instret / 2, [&](rv::Core<rv::TaintedWord>&) {
+    snap = v->snapshot();
+  });
+  const auto golden = v->run(sysc::Time::sec(60));
+  ASSERT_TRUE(golden.exited());
+  ASSERT_EQ(snap.instret, instret / 2);
+  EXPECT_FALSE(snap.ram.empty());
+  EXPECT_LE(snap.ram.size() + snap.ram_tags.size(), 64u * 1024);
+
+  // And it still forks: the tail from the sparse snapshot ends like the
+  // golden run.
+  auto w = make();
+  w->restore(snap);
+  const auto tail = w->run(sysc::Time::sec(60));
+  ASSERT_TRUE(tail.exited());
+  EXPECT_EQ(tail.exit_code, golden.exit_code);
+  EXPECT_EQ(tail.uart_output, golden.uart_output);
+  EXPECT_EQ(w->core().instret(), v->core().instret());
 }
 
 }  // namespace
