@@ -23,35 +23,93 @@ namespace {
 const soc::AesKey kDemoPin = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
                               0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
 
+/// The builtin firmware by name ("attack:N" is the one builtin family
+/// outside the table). resolve_firmware and is_builtin_firmware both read
+/// it, so what resolves by name and what the service keys by name agree.
+struct BuiltinFirmware {
+  const char* name;
+  rvasm::Program (*make)();
+};
+const BuiltinFirmware kBuiltinFirmware[] = {
+    {"primes", [] { return fw::make_primes(10000); }},
+    {"spin", [] { return fw::make_spin(); }},
+    {"qsort", [] { return fw::make_qsort(5000, 1); }},
+    {"dhrystone", [] { return fw::make_dhrystone(20000); }},
+    {"sha256", [] { return fw::make_sha256(1024, 64); }},
+    {"sha512", [] { return fw::make_sha512(1024, 16); }},
+    {"simple-sensor", [] { return fw::make_simple_sensor(20); }},
+    {"rtos-tasks", [] { return fw::make_rtos_tasks(100, 200); }},
+    {"immobilizer",
+     [] {
+       return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kDemoPin, 5);
+     }},
+    {"immobilizer-vulnerable",
+     [] {
+       return fw::make_immobilizer(fw::ImmoVariant::kVulnerableDump, kDemoPin,
+                                   5);
+     }},
+    {"code-reuse", [] { return fw::make_code_reuse_attack().program; }},
+};
+
+/// The builtin policy scenarios by name, read by resolve_policy and
+/// is_builtin_policy (the empty name, "no policy", is builtin too).
+struct BuiltinPolicy {
+  const char* name;
+  vp::scenarios::PolicyBundle (*make)(const rvasm::Program&);
+};
+const BuiltinPolicy kBuiltinPolicies[] = {
+    {"permissive",
+     [](const rvasm::Program&) {
+       return vp::scenarios::make_permissive_policy();
+     }},
+    {"code-injection",
+     [](const rvasm::Program& p) {
+       return vp::scenarios::make_code_injection_policy(p);
+     }},
+    {"immobilizer",
+     [](const rvasm::Program& p) {
+       return vp::scenarios::make_immobilizer_policy(p, /*per_byte_pin=*/false);
+     }},
+    {"immobilizer-per-byte",
+     [](const rvasm::Program& p) {
+       return vp::scenarios::make_immobilizer_policy(p, /*per_byte_pin=*/true);
+     }},
+};
+
+template <typename Entry, std::size_t N>
+const Entry* find_builtin(const Entry (&table)[N], const std::string& name) {
+  for (const Entry& e : table)
+    if (name == e.name) return &e;
+  return nullptr;
+}
+
 }  // namespace
 
 const soc::AesKey& demo_pin() { return kDemoPin; }
+
+bool is_builtin_firmware(const std::string& name) {
+  return find_builtin(kBuiltinFirmware, name) || name.rfind("attack:", 0) == 0;
+}
+
+bool is_builtin_policy(const std::string& name) {
+  return name.empty() || find_builtin(kBuiltinPolicies, name);
+}
 
 ResolvedPolicy resolve_policy(const std::string& name,
                               const rvasm::Program& program) {
   ResolvedPolicy r;
   if (name.empty()) return r;
-  if (name == "permissive") {
-    r.bundle.emplace(vp::scenarios::make_permissive_policy());
-  } else if (name == "code-injection") {
-    r.bundle.emplace(vp::scenarios::make_code_injection_policy(program));
-  } else if (name == "immobilizer") {
-    r.bundle.emplace(
-        vp::scenarios::make_immobilizer_policy(program, /*per_byte_pin=*/false));
-  } else if (name == "immobilizer-per-byte") {
-    r.bundle.emplace(
-        vp::scenarios::make_immobilizer_policy(program, /*per_byte_pin=*/true));
-  } else {
-    // Anything else is a policy file (optionally "file:PATH").
-    const std::string path =
-        name.rfind("file:", 0) == 0 ? name.substr(5) : name;
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open policy file: " + path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    r.file.emplace(dift::PolicySpec::parse(buf.str(), &program.symbols));
+  if (const BuiltinPolicy* b = find_builtin(kBuiltinPolicies, name)) {
+    r.bundle.emplace(b->make(program));
     return r;
   }
+  // Anything else is a policy file (optionally "file:PATH").
+  const std::string path = name.rfind("file:", 0) == 0 ? name.substr(5) : name;
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open policy file: " + path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  r.file.emplace(dift::PolicySpec::parse(buf.str(), &program.symbols));
   return r;
 }
 
@@ -286,19 +344,8 @@ bool verdict_matches(const std::string& expect, const std::string& verdict) {
 }
 
 rvasm::Program resolve_firmware(const std::string& name) {
-  if (name == "primes") return fw::make_primes(10000);
-  if (name == "spin") return fw::make_spin();
-  if (name == "qsort") return fw::make_qsort(5000, 1);
-  if (name == "dhrystone") return fw::make_dhrystone(20000);
-  if (name == "sha256") return fw::make_sha256(1024, 64);
-  if (name == "sha512") return fw::make_sha512(1024, 16);
-  if (name == "simple-sensor") return fw::make_simple_sensor(20);
-  if (name == "rtos-tasks") return fw::make_rtos_tasks(100, 200);
-  if (name == "immobilizer")
-    return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kDemoPin, 5);
-  if (name == "immobilizer-vulnerable")
-    return fw::make_immobilizer(fw::ImmoVariant::kVulnerableDump, kDemoPin, 5);
-  if (name == "code-reuse") return fw::make_code_reuse_attack().program;
+  if (const BuiltinFirmware* b = find_builtin(kBuiltinFirmware, name))
+    return b->make();
   if (name.rfind("attack:", 0) == 0) {
     std::int32_t id = 0;
     if (!parse_i32(name.substr(7), &id))

@@ -163,6 +163,10 @@ class Runner {
 /// or a path to an ELF32 file.
 rvasm::Program resolve_firmware(const std::string& name);
 
+/// True when resolve_firmware resolves `name` by name (its content is
+/// compiled into this binary) rather than loading a file.
+bool is_builtin_firmware(const std::string& name);
+
 /// FNV-1a content hash of a resolved program (entry point + every segment's
 /// base and bytes) — the identity VpPool::acquire uses to decide whether a
 /// warm VP's translated blocks are still valid for the next job. The
@@ -207,6 +211,10 @@ struct ResolvedPolicy {
 /// or a policy file path) against `program`. Empty name → null policy.
 ResolvedPolicy resolve_policy(const std::string& name,
                               const rvasm::Program& program);
+
+/// True when resolve_policy builds `name` from a builtin scenario (or, for
+/// the empty name, resolves to no policy) rather than reading a file.
+bool is_builtin_policy(const std::string& name);
 
 /// Canonical attacker byte stream for the attack firmwares ("" otherwise) —
 /// what a job without an explicit uart-input receives.

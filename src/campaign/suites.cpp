@@ -91,9 +91,6 @@ std::vector<Table1Row> table1_rows(const std::vector<JobResult>& results) {
 
 namespace {
 
-const soc::AesKey kPin = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-                          0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
-
 struct Table2Workload {
   std::string name;
   std::function<rvasm::Program(std::uint32_t)> make;
@@ -130,12 +127,13 @@ std::vector<Table2Workload> table2_workloads() {
        [](std::uint32_t s) { return fw::make_rtos_tasks(1200 * s, 50); }},
       {"immo-fixed",
        [](std::uint32_t s) {
-         return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kPin, 15 * s);
+         return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, demo_pin(),
+                                     15 * s);
        },
        [] {
          vp::VpConfig cfg;
          cfg.with_engine_ecu = true;
-         cfg.engine_pin = kPin;
+         cfg.engine_pin = demo_pin();
          cfg.engine_period = sysc::Time::ms(1);
          return cfg;
        }},

@@ -6,118 +6,30 @@
 
 namespace vpdift::service {
 
-CacheStats& CacheStats::operator+=(const CacheStats& o) {
-  elf_hits += o.elf_hits;
-  elf_misses += o.elf_misses;
-  policy_hits += o.policy_hits;
-  policy_misses += o.policy_misses;
-  golden_cache_hits += o.golden_cache_hits;
-  golden_cache_misses += o.golden_cache_misses;
-  analysis_hits += o.analysis_hits;
-  analysis_misses += o.analysis_misses;
-  snapshot_hits += o.snapshot_hits;
-  snapshot_misses += o.snapshot_misses;
-  vp_builds += o.vp_builds;
-  vp_reuses += o.vp_reuses;
-  translation_reuses += o.translation_reuses;
-  executed_instret += o.executed_instret;
-  hung_jobs += o.hung_jobs;
-  killed_workers += o.killed_workers;
-  shed_submissions += o.shed_submissions;
-  heartbeat_misses += o.heartbeat_misses;
-  return *this;
-}
-
-CacheStats CacheStats::operator-(const CacheStats& o) const {
-  CacheStats d;
-  d.elf_hits = elf_hits - o.elf_hits;
-  d.elf_misses = elf_misses - o.elf_misses;
-  d.policy_hits = policy_hits - o.policy_hits;
-  d.policy_misses = policy_misses - o.policy_misses;
-  d.golden_cache_hits = golden_cache_hits - o.golden_cache_hits;
-  d.golden_cache_misses = golden_cache_misses - o.golden_cache_misses;
-  d.analysis_hits = analysis_hits - o.analysis_hits;
-  d.analysis_misses = analysis_misses - o.analysis_misses;
-  d.snapshot_hits = snapshot_hits - o.snapshot_hits;
-  d.snapshot_misses = snapshot_misses - o.snapshot_misses;
-  d.vp_builds = vp_builds - o.vp_builds;
-  d.vp_reuses = vp_reuses - o.vp_reuses;
-  d.translation_reuses = translation_reuses - o.translation_reuses;
-  d.executed_instret = executed_instret - o.executed_instret;
-  d.hung_jobs = hung_jobs - o.hung_jobs;
-  d.killed_workers = killed_workers - o.killed_workers;
-  d.shed_submissions = shed_submissions - o.shed_submissions;
-  d.heartbeat_misses = heartbeat_misses - o.heartbeat_misses;
-  return d;
-}
-
 std::string CacheStats::to_json() const {
-  auto f = [](const char* k, std::uint64_t v, bool last = false) {
-    return "\"" + std::string(k) + "\":" + std::to_string(v) +
-           (last ? "" : ",");
-  };
-  return "{" + f("elf_hits", elf_hits) + f("elf_misses", elf_misses) +
-         f("policy_hits", policy_hits) + f("policy_misses", policy_misses) +
-         f("golden_cache_hits", golden_cache_hits) +
-         f("golden_cache_misses", golden_cache_misses) +
-         f("analysis_hits", analysis_hits) +
-         f("analysis_misses", analysis_misses) +
-         f("snapshot_hits", snapshot_hits) +
-         f("snapshot_misses", snapshot_misses) + f("vp_builds", vp_builds) +
-         f("vp_reuses", vp_reuses) +
-         f("translation_reuses", translation_reuses) +
-         f("executed_instret", executed_instret) + f("hung_jobs", hung_jobs) +
-         f("killed_workers", killed_workers) +
-         f("shed_submissions", shed_submissions) +
-         f("heartbeat_misses", heartbeat_misses, true) + "}";
+  std::string out = "{";
+  for_each([&](const char* k, std::uint64_t v) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += k;
+    out += "\":";
+    out += std::to_string(v);
+  });
+  return out + "}";
 }
 
 CacheStats cache_stats_from_json(const campaign::JsonValue& obj) {
   CacheStats s;
-  s.elf_hits = obj.u64_or("elf_hits", 0);
-  s.elf_misses = obj.u64_or("elf_misses", 0);
-  s.policy_hits = obj.u64_or("policy_hits", 0);
-  s.policy_misses = obj.u64_or("policy_misses", 0);
-  s.golden_cache_hits = obj.u64_or("golden_cache_hits", 0);
-  s.golden_cache_misses = obj.u64_or("golden_cache_misses", 0);
-  s.analysis_hits = obj.u64_or("analysis_hits", 0);
-  s.analysis_misses = obj.u64_or("analysis_misses", 0);
-  s.snapshot_hits = obj.u64_or("snapshot_hits", 0);
-  s.snapshot_misses = obj.u64_or("snapshot_misses", 0);
-  s.vp_builds = obj.u64_or("vp_builds", 0);
-  s.vp_reuses = obj.u64_or("vp_reuses", 0);
-  s.translation_reuses = obj.u64_or("translation_reuses", 0);
-  s.executed_instret = obj.u64_or("executed_instret", 0);
-  s.hung_jobs = obj.u64_or("hung_jobs", 0);
-  s.killed_workers = obj.u64_or("killed_workers", 0);
-  s.shed_submissions = obj.u64_or("shed_submissions", 0);
-  s.heartbeat_misses = obj.u64_or("heartbeat_misses", 0);
+  s.for_each([&](const char* k, std::uint64_t& v) { v = obj.u64_or(k, 0); });
   return s;
 }
 
-namespace {
-
-/// Builtin firmware references resolve by NAME (their content is compiled
-/// into this binary and can only change with it); anything else is a path
-/// whose bytes are the identity. Must mirror campaign::resolve_firmware.
-bool is_builtin_firmware(const std::string& name) {
-  return name == "primes" || name == "qsort" || name == "dhrystone" ||
-         name == "sha256" || name == "sha512" || name == "simple-sensor" ||
-         name == "rtos-tasks" || name == "immobilizer" ||
-         name == "immobilizer-vulnerable" || name == "code-reuse" ||
-         name == "spin" || name.rfind("attack:", 0) == 0;
-}
-
-/// Builtin policy scenarios, mirroring campaign::resolve_policy.
-bool is_builtin_policy(const std::string& name) {
-  return name.empty() || name == "permissive" || name == "code-injection" ||
-         name == "immobilizer" || name == "immobilizer-per-byte";
-}
-
-}  // namespace
-
 std::uint64_t WarmCache::firmware_key(const std::string& name) {
-  if (is_builtin_firmware(name)) return fnv1a64(name, fnv1a64("builtin-fw:"));
+  // Builtin references key by NAME (their content is compiled into this
+  // binary and can only change with it); anything else is a path whose
+  // bytes are the identity.
+  if (campaign::is_builtin_firmware(name))
+    return fnv1a64(name, fnv1a64("builtin-fw:"));
   const std::string path = name.rfind("file:", 0) == 0 ? name.substr(5) : name;
   return hash_file(path);
 }
@@ -130,7 +42,7 @@ std::uint64_t WarmCache::program_key(const rvasm::Program& program) {
 }
 
 std::uint64_t WarmCache::policy_content_key(const std::string& name) {
-  if (is_builtin_policy(name))
+  if (campaign::is_builtin_policy(name))
     return fnv1a64(name, fnv1a64("builtin-policy:"));
   const std::string path = name.rfind("file:", 0) == 0 ? name.substr(5) : name;
   return hash_file(path);

@@ -41,35 +41,73 @@
 
 namespace vpdift::service {
 
+/// The one list of CacheStats counters, in report order. The struct
+/// members, the arithmetic, to_json() and cache_stats_from_json() are all
+/// expanded from it. The last four are resilience counters, incremented by
+/// the server's supervision loop rather than by the caches; they ride in
+/// the same block so the report JSON and the CI smoke gates see one
+/// consistent counter schema.
+#define VPDIFT_CACHE_STATS_FIELDS(X)                                         \
+  X(elf_hits)                                                                \
+  X(elf_misses)                                                              \
+  X(policy_hits)                                                             \
+  X(policy_misses)                                                           \
+  X(golden_cache_hits)                                                       \
+  X(golden_cache_misses)                                                     \
+  X(analysis_hits)                                                           \
+  X(analysis_misses)                                                         \
+  X(snapshot_hits)                                                           \
+  X(snapshot_misses)                                                         \
+  X(vp_builds)                                                               \
+  X(vp_reuses)                                                               \
+  X(translation_reuses) /* VP re-arms that also kept the core's translated- \
+                           block cache warm (firmware content hash         \
+                           unchanged — see VpPool::acquire) */             \
+  X(executed_instret)   /* instructions actually retired (cache hits       \
+                           retire none) — the number the warm-vs-cold      \
+                           acceptance check compares */                    \
+  X(hung_jobs)          /* jobs killed by deadline/heartbeat escalation    \
+                           (verdict "hung") */                             \
+  X(killed_workers)     /* involuntary worker deaths: crashed, killed      \
+                           externally, or escalated */                     \
+  X(shed_submissions)   /* submissions rejected "overloaded" */            \
+  X(heartbeat_misses)   /* busy workers silent past the heartbeat timeout */
+
 /// Counter block describing the cache behaviour of some span of work (one
 /// op, one submission, or a worker's lifetime — deltas subtract cleanly).
 struct CacheStats {
-  std::uint64_t elf_hits = 0, elf_misses = 0;
-  std::uint64_t policy_hits = 0, policy_misses = 0;
-  std::uint64_t golden_cache_hits = 0, golden_cache_misses = 0;
-  std::uint64_t analysis_hits = 0, analysis_misses = 0;
-  std::uint64_t snapshot_hits = 0, snapshot_misses = 0;
-  std::uint64_t vp_builds = 0, vp_reuses = 0;
-  /// VP re-arms that also kept the core's translated-block cache warm
-  /// (firmware content hash unchanged — see VpPool::acquire).
-  std::uint64_t translation_reuses = 0;
-  /// Instructions actually retired (cache hits retire none) — the number
-  /// the warm-vs-cold acceptance check compares.
-  std::uint64_t executed_instret = 0;
+#define VPDIFT_X(name) std::uint64_t name = 0;
+  VPDIFT_CACHE_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
 
-  // Resilience counters (incremented by the server's supervision loop, not
-  // by the caches; they ride in the same block so the report JSON and the
-  // CI smoke gates see one consistent counter schema).
-  std::uint64_t hung_jobs = 0;         ///< jobs killed by deadline/heartbeat
-                                       ///< escalation (verdict "hung")
-  std::uint64_t killed_workers = 0;    ///< involuntary worker deaths: crashed,
-                                       ///< killed externally, or escalated
-  std::uint64_t shed_submissions = 0;  ///< submissions rejected "overloaded"
-  std::uint64_t heartbeat_misses = 0;  ///< busy workers silent past the
-                                       ///< heartbeat timeout
+  /// Calls f(name, counter) for every counter, in report order.
+  template <typename F>
+  void for_each(F&& f) {
+#define VPDIFT_X(name) f(#name, name);
+    VPDIFT_CACHE_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+  }
+  template <typename F>
+  void for_each(F&& f) const {
+#define VPDIFT_X(name) f(#name, name);
+    VPDIFT_CACHE_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+  }
 
-  CacheStats& operator+=(const CacheStats& o);
-  CacheStats operator-(const CacheStats& o) const;
+  CacheStats& operator+=(const CacheStats& o) {
+#define VPDIFT_X(name) name += o.name;
+    VPDIFT_CACHE_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+    return *this;
+  }
+
+  CacheStats operator-(const CacheStats& o) const {
+    CacheStats d;
+#define VPDIFT_X(name) d.name = name - o.name;
+    VPDIFT_CACHE_STATS_FIELDS(VPDIFT_X)
+#undef VPDIFT_X
+    return d;
+  }
 
   /// One flat JSON object, e.g. {"elf_hits":3,...,"executed_instret":12}.
   std::string to_json() const;

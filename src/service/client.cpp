@@ -63,20 +63,25 @@ Client::Client(const std::string& socket_path, const ClientOptions& opts)
                                std::strerror(saved));
     }
   }
-  // Reads go through DeadlineLineReader (poll-before-read), so the fd can
-  // stay blocking for the small request writes.
+  // Reads go through the deadline-bounded LineReader (poll-before-read), so
+  // the fd can stay blocking for the small request writes.
   if (opts_.timeout_ms > 0 && fl >= 0) ::fcntl(fd_, F_SETFL, fl);
+  in_ = LineReader(fd_, opts_.timeout_ms);
 }
 
 Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+bool Client::read_reply(std::string* line) {
+  in_.set_timeout(opts_.timeout_ms);
+  return in_.read_line(line);
+}
+
 bool Client::ping() {
   if (!write_line(fd_, "{\"op\":\"ping\"}")) return false;
-  DeadlineLineReader in(fd_, opts_.timeout_ms);
   std::string line;
-  if (!in.read_line(&line)) return false;
+  if (!read_reply(&line)) return false;
   try {
     return campaign::json_parse(line).str_or("event") == "pong";
   } catch (const std::exception&) {
@@ -91,12 +96,12 @@ Outcome Client::await_done(
   // it the submission may legitimately run for a long time, so the clock
   // relaxes to the idle timeout — which any event resets, server
   // heartbeats included.
-  DeadlineLineReader in(fd_, opts_.timeout_ms);
+  in_.set_timeout(opts_.timeout_ms);
   std::string line;
   bool accepted = false;
   for (;;) {
-    if (!in.read_line(&line)) {
-      if (in.timed_out())
+    if (!in_.read_line(&line)) {
+      if (in_.timed_out())
         out.error = accepted ? "server went silent mid-submission"
                              : "timed out waiting for the server";
       else
@@ -126,7 +131,7 @@ Outcome Client::await_done(
     if (ev == "accepted") {
       out.jobs = static_cast<std::size_t>(msg.u64_or("jobs", 0));
       accepted = true;
-      in.set_timeout(opts_.idle_timeout_ms);
+      in_.set_timeout(opts_.idle_timeout_ms);
       continue;
     }
     if (ev == "job") {
@@ -192,9 +197,8 @@ Outcome Client::submit_spec(
 CacheStats Client::server_stats() {
   CacheStats s;
   if (!write_line(fd_, "{\"op\":\"stats\"}")) return s;
-  DeadlineLineReader in(fd_, opts_.timeout_ms);
   std::string line;
-  while (in.read_line(&line)) {
+  while (read_reply(&line)) {
     try {
       const JsonValue msg = campaign::json_parse(line);
       if (msg.str_or("event") != "stats") continue;
@@ -211,9 +215,8 @@ CacheStats Client::server_stats() {
 
 void Client::shutdown_server() {
   write_line(fd_, "{\"op\":\"shutdown\"}");
-  DeadlineLineReader in(fd_, opts_.timeout_ms);
   std::string line;
-  in.read_line(&line);  // "bye" (or EOF / timeout)
+  read_reply(&line);  // "bye" (or EOF / timeout)
 }
 
 }  // namespace vpdift::service

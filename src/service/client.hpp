@@ -10,6 +10,7 @@
 #include <string>
 
 #include "service/cache.hpp"
+#include "service/protocol.hpp"
 
 namespace vpdift::service {
 
@@ -88,7 +89,13 @@ class Client {
   Outcome submit(const std::string& body,
                  const std::function<void(const JobEvent&)>& on_job);
 
+  /// Reads one reply line under the control-plane deadline.
+  bool read_reply(std::string* line);
+
   int fd_ = -1;
+  /// The connection's one reader: bytes it buffered past a line stay
+  /// buffered for the next call.
+  LineReader in_{-1};
   std::uint64_t next_id_ = 1;
   ClientOptions opts_;
 };

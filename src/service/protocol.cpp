@@ -278,32 +278,8 @@ fi::ForkStats fork_stats_from_json(const campaign::JsonValue& obj) {
 }
 
 bool LineReader::read_line(std::string* out) {
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      out->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    ssize_t n;
-    do {
-      n = ::read(fd_, chunk, sizeof chunk);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return false;
-    buf_.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-bool DeadlineLineReader::read_line(std::string* out) {
   timed_out_ = false;
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      out->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
-      return true;
-    }
+  while (!buf_.pop(out)) {
     if (timeout_ms_ > 0) {
       struct pollfd pfd {fd_, POLLIN, 0};
       int rc;
@@ -322,8 +298,9 @@ bool DeadlineLineReader::read_line(std::string* out) {
       n = ::read(fd_, chunk, sizeof chunk);
     } while (n < 0 && errno == EINTR);
     if (n <= 0) return false;
-    buf_.append(chunk, static_cast<std::size_t>(n));
+    buf_.feed(chunk, static_cast<std::size_t>(n));
   }
+  return true;
 }
 
 bool LineBuffer::pop(std::string* line) {

@@ -10,9 +10,10 @@
 //     counters — a decoded golden run must drive fi::suite_from_golden and
 //     fi::classify to the same verdicts as the in-process original), plus
 //     fi::ForkStats;
-//   * line transport: a blocking reader for the single-threaded worker and
-//     client loops, an incremental buffer for the server's poll() loop, and
-//     a partial-write-safe line writer.
+//   * line transport: an incremental buffer for the server's poll() loop,
+//     a blocking (optionally deadline-bounded) reader built on it for the
+//     single-threaded worker and client loops, and a partial-write-safe
+//     line writer.
 //
 // Message *shapes* (which fields each op carries) are documented in
 // docs/service.md and assembled inline by server.cpp / worker.cpp /
@@ -48,28 +49,27 @@ fi::ForkStats fork_stats_from_json(const campaign::JsonValue& obj);
 std::string analysis_to_json(const sa::AnalysisResult& r);
 sa::AnalysisResult analysis_from_json(const campaign::JsonValue& obj);
 
-/// Blocking newline-delimited reader over a file descriptor (worker and
-/// client loops — one request or event at a time).
-class LineReader {
+/// Incremental newline splitter for the server's poll() loop: feed whatever
+/// read() returned, pop complete lines.
+class LineBuffer {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Reads one line (without the trailing newline). False on EOF or error.
-  bool read_line(std::string* out);
+  void feed(const char* data, std::size_t n) { buf_.append(data, n); }
+  bool pop(std::string* line);
 
  private:
-  int fd_;
   std::string buf_;
 };
 
-/// LineReader variant with a poll()-based deadline, for clients that must
-/// not hang on a server that accepted the connection but never answers.
-/// The timeout bounds each wait for NEW bytes (not the whole line), so a
-/// slowly streaming peer that keeps making progress never trips it.
-class DeadlineLineReader {
+/// Blocking newline-delimited reader over a file descriptor (worker and
+/// client loops — one request or event at a time). A nonzero timeout puts a
+/// poll()-based deadline on each wait for NEW bytes (not on the whole line,
+/// so a slowly streaming peer that keeps making progress never trips it):
+/// a client must not hang on a server that accepted the connection but
+/// never answers.
+class LineReader {
  public:
-  /// `timeout_ms` 0 = block forever (plain LineReader behaviour).
-  DeadlineLineReader(int fd, std::uint64_t timeout_ms)
+  /// `timeout_ms` 0 = block forever.
+  explicit LineReader(int fd, std::uint64_t timeout_ms = 0)
       : fd_(fd), timeout_ms_(timeout_ms) {}
 
   /// Reads one line (without the trailing newline). False on EOF, error,
@@ -83,18 +83,7 @@ class DeadlineLineReader {
   int fd_;
   std::uint64_t timeout_ms_;
   bool timed_out_ = false;
-  std::string buf_;
-};
-
-/// Incremental newline splitter for the server's poll() loop: feed whatever
-/// read() returned, pop complete lines.
-class LineBuffer {
- public:
-  void feed(const char* data, std::size_t n) { buf_.append(data, n); }
-  bool pop(std::string* line);
-
- private:
-  std::string buf_;
+  LineBuffer buf_;
 };
 
 /// Writes `line` plus a newline, riding out partial writes and EINTR.

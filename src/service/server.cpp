@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/aggregator.hpp"
@@ -82,14 +83,26 @@ bool flush_queue(int fd, std::string& q) {
   return true;
 }
 
+/// The error event of client request or submission `id`; `extra` carries
+/// further fields (",\"k\":v") after the message.
+std::string error_event(std::uint64_t id, const std::string& error,
+                        const std::string& extra = "") {
+  return "{\"event\":\"error\",\"id\":" + std::to_string(id) +
+         ",\"error\":" + campaign::json_quote(error) + extra + "}";
+}
+
 struct WorkerProc {
   pid_t pid = -1;
   int fd = -1;  ///< parent end of the socketpair, O_NONBLOCK
   LineBuffer buf;
   std::string out;  ///< queued outbound bytes, drained on POLLOUT
-  std::vector<std::uint64_t> outstanding;  ///< op ids sent, awaiting reply
+  /// The op sent and awaiting its reply; 0 = idle (op ids start at 1). One
+  /// at a time: workers execute serially anyway, and a single in-flight op
+  /// keeps job-deadline clocks honest (a buffered second job's budget must
+  /// not tick while the first still runs) and bounds what a death can lose.
+  std::uint64_t inflight = 0;
   /// Admission queue: op ids accepted but not yet sent. Ops move to
-  /// `outstanding` one at a time (pump_worker), so a job's deadline clock
+  /// `inflight` one at a time (pump_worker), so a job's deadline clock
   /// starts when it actually reaches the worker, and a dying worker loses
   /// only its in-flight op — the backlog requeues onto the respawn.
   std::deque<std::uint64_t> queued;
@@ -120,7 +133,6 @@ struct PendingOp {
   std::vector<std::size_t> indices;      ///< kFiChunk: fault indices
   std::set<std::size_t> received;        ///< kFiChunk: already streamed
   std::string line;                      ///< wire message, id substituted
-  bool sent = false;
   /// The worker acknowledged the op ("start"): a death after this point
   /// loses the op; before it, the op never ran and requeues.
   bool started = false;
@@ -130,7 +142,7 @@ struct PendingOp {
   bool requeued = false;
   /// kJob with a wall budget: when the server stops waiting for the worker
   /// to enforce the budget itself and escalates (send time + budget +
-  /// deadline grace).
+  /// deadline grace). Set only while the op is in flight.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   double wall_budget_s = 0;
   /// Last instret the worker heartbeated for this op — lets a hung job
@@ -193,12 +205,16 @@ class Server {
                   std::uint64_t seed, std::size_t want_workers);
   void submit_spec(int fd, std::uint64_t id, const std::string& text,
                    bool analyze);
+  /// Registers a submission of `jobs` jobs and tells the client so.
+  Submission& admit(int fd, std::uint64_t id, std::size_t jobs);
   void golden_arrived(Submission& sub, const campaign::JobResult& golden);
+  /// Retires an op that will never deliver its result and resolves its
+  /// unfinished jobs: "crash"/"hung" when lost or undecodable, "skipped"
+  /// when a drain sheds it unsent. A golden op instead fails its whole
+  /// submission with `error`.
   void op_failed(std::uint64_t op_id, const std::string& error,
                  const char* verdict = "crash");
   void maybe_finish(Submission& sub);
-  void finish_fi(Submission& sub);
-  void finish_spec(Submission& sub);
   void fail_submission(Submission& sub, const std::string& error);
   void drop_submission(std::uint64_t key);
   void begin_drain();
@@ -207,7 +223,11 @@ class Server {
   bool shed_if_overloaded(int fd, std::uint64_t id, std::size_t new_ops);
 
   // -- plumbing --
-  std::uint64_t send_op(std::size_t w, PendingOp op, const std::string& line);
+  void queue_op(std::size_t w, PendingOp op, const std::string& line);
+  /// Sends each idle worker its next queued op. Sending can fail ops
+  /// synchronously (dead worker, fatal send) and so finish and free their
+  /// submission: callers must not touch a Submission& after pumping.
+  void pump_all();
   void pump_worker(std::size_t w);
   bool send_worker(std::size_t w, const std::string& line);
   void send_client(int fd, const std::string& line);
@@ -232,11 +252,6 @@ class Server {
   /// A client whose outbound queue exceeds this stopped reading long ago;
   /// it gets dropped rather than accumulating reports without bound.
   static constexpr std::size_t kMaxClientQueue = 64u << 20;
-  /// Ops in flight per worker. One: workers execute serially anyway, and a
-  /// single in-flight op keeps job-deadline clocks honest (a buffered
-  /// second job's budget must not tick while the first still runs) and
-  /// bounds what a worker death can lose.
-  static constexpr std::size_t kMaxInflight = 1;
 };
 
 void Server::note(const char* fmt, ...) {
@@ -287,7 +302,7 @@ void Server::spawn_worker(std::size_t slot) {
   workers_[slot].fd = sv[0];
   workers_[slot].buf = LineBuffer();
   workers_[slot].out.clear();  // queued lines belonged to the dead worker
-  workers_[slot].outstanding.clear();
+  workers_[slot].inflight = 0;
   workers_[slot].queued.clear();
   workers_[slot].last_line = std::chrono::steady_clock::now();
   workers_[slot].escalation = 0;
@@ -490,47 +505,15 @@ void Server::begin_drain() {
 void Server::shed_backlog() {
   // Resolve every accepted-but-unsent op without running it: spec jobs and
   // fi faults become verdict "skipped" and their submissions finish as
-  // partial reports marked "interrupted". In-flight ops keep running.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  // partial reports marked "interrupted". In-flight ops keep running. Only
+  // a queued golden reports the error (skipped jobs carry none): with no
+  // golden there is no fault schedule, so its submission fails.
+  for (WorkerProc& wp : workers_) {
     std::deque<std::uint64_t> backlog;
-    backlog.swap(workers_[w].queued);
-    for (const std::uint64_t op_id : backlog) {
-      auto it = ops_.find(op_id);
-      if (it == ops_.end()) continue;  // submission already torn down
-      const PendingOp op = std::move(it->second);
-      ops_.erase(it);
-      auto sit = subs_.find(op.sub);
-      if (sit == subs_.end()) continue;
-      Submission& sub = sit->second;
-      sub.interrupted = true;
-      switch (op.kind) {
-        case PendingOp::Kind::kGolden:
-          fail_submission(sub, "server draining before the golden run started");
-          break;
-        case PendingOp::Kind::kJob: {
-          campaign::JobResult r;
-          r.name = sub.cspec.jobs[op.job_index].name;
-          r.verdict = "skipped";
-          r.error = "server draining";
-          // Deliberately not relayed: the job never ran, and the final
-          // report already says so via "interrupted".
-          sub.results[op.job_index] = std::move(r);
-          --sub.outstanding_ops;
-          maybe_finish(sub);
-          break;
-        }
-        case PendingOp::Kind::kFiChunk: {
-          for (const std::size_t i : op.indices) {
-            if (op.received.count(i)) continue;
-            sub.results[i].name = sub.suite->jobs.jobs[i].name;
-            sub.results[i].verdict = "skipped";
-          }
-          --sub.outstanding_ops;
-          maybe_finish(sub);
-          break;
-        }
-      }
-    }
+    backlog.swap(wp.queued);
+    for (const std::uint64_t op_id : backlog)
+      op_failed(op_id, "server draining before the golden run started",
+                "skipped");
   }
 }
 
@@ -578,12 +561,12 @@ std::optional<std::chrono::steady_clock::time_point> Server::next_deadline()
     if (wp.escalation == 1)
       consider(wp.escalated_at +
                std::chrono::milliseconds(opts_.kill_grace_ms));
-    else if (wp.escalation == 0 && hb_on && !wp.outstanding.empty())
+    else if (wp.escalation == 0 && hb_on && wp.inflight)
       consider(wp.last_line +
                std::chrono::milliseconds(opts_.heartbeat_timeout_ms));
   }
   for (const auto& [id, op] : ops_)
-    if (op.sent && op.deadline) consider(*op.deadline);
+    if (op.deadline) consider(*op.deadline);
   if (opts_.heartbeat_ms > 0) {
     for (const auto& [key, sub] : subs_) {
       if (sub.client_fd < 0) continue;
@@ -612,21 +595,16 @@ void Server::handle_timers() {
       continue;
     }
     if (wp.escalation >= 2) continue;  // death arrives via SIGCHLD
-    if (hb_on && !wp.outstanding.empty() &&
+    if (hb_on && wp.inflight &&
         now - wp.last_line >=
             std::chrono::milliseconds(opts_.heartbeat_timeout_ms)) {
       ++totals_.heartbeat_misses;
       escalate_worker(w, "busy but silent past the heartbeat timeout");
       continue;
     }
-    for (const std::uint64_t op_id : wp.outstanding) {
-      const auto it = ops_.find(op_id);
-      if (it == ops_.end()) continue;
-      if (it->second.deadline && now >= *it->second.deadline) {
-        escalate_worker(w, "job ran past its wall budget plus grace");
-        break;
-      }
-    }
+    const auto it = ops_.find(wp.inflight);
+    if (it != ops_.end() && it->second.deadline && now >= *it->second.deadline)
+      escalate_worker(w, "job ran past its wall budget plus grace");
   }
   // Keep clients with active submissions assured the server is alive even
   // when no job has finished in a while (their idle timers reset on any
@@ -646,7 +624,7 @@ void Server::handle_timers() {
 std::size_t Server::total_load() const {
   std::size_t n = 0;
   for (const WorkerProc& wp : workers_)
-    n += wp.outstanding.size() + wp.queued.size();
+    n += (wp.inflight ? 1 : 0) + wp.queued.size();
   return n;
 }
 
@@ -659,9 +637,8 @@ bool Server::shed_if_overloaded(int fd, std::uint64_t id,
   ++totals_.shed_submissions;
   const std::uint64_t retry_ms =
       200 + 150 * (load / std::max<std::size_t>(1, workers_.size()));
-  send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                      ",\"error\":\"overloaded\",\"retry_after_ms\":" +
-                      std::to_string(retry_ms) + "}");
+  send_client(fd, error_event(id, "overloaded", ",\"retry_after_ms\":" +
+                                                   std::to_string(retry_ms)));
   note("shed submission %llu: %zu queued + %zu new > cap %zu",
        static_cast<unsigned long long>(id), load, new_ops, cap);
   return true;
@@ -712,7 +689,7 @@ void Server::read_worker(std::size_t w) {
   std::string line;
   while (workers_[w].fd >= 0 && workers_[w].buf.pop(&line))
     handle_worker_line(w, line);
-  // Retired ops opened send slots; move the backlog along.
+  // A retired op freed the send slot; move the backlog along.
   if (workers_[w].fd >= 0) pump_worker(w);
 }
 
@@ -721,8 +698,7 @@ void Server::handle_client_line(int fd, const std::string& line) {
   try {
     msg = campaign::json_parse(line);
   } catch (const std::exception& e) {
-    send_client(fd, std::string("{\"event\":\"error\",\"id\":0,\"error\":") +
-                        campaign::json_quote(e.what()) + "}");
+    send_client(fd, error_event(0, e.what()));
     return;
   }
   const std::string op = msg.str_or("op");
@@ -743,13 +719,11 @@ void Server::handle_client_line(int fd, const std::string& line) {
     return;
   }
   if (op != "submit") {
-    send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                        ",\"error\":\"unknown op\"}");
+    send_client(fd, error_event(id, "unknown op"));
     return;
   }
   if (draining_) {
-    send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                        ",\"error\":\"server is draining\"}");
+    send_client(fd, error_event(id, "server is draining"));
     return;
   }
   if (const JsonValue* ref = msg.find("ref");
@@ -764,28 +738,22 @@ void Server::handle_client_line(int fd, const std::string& line) {
     submit_spec(fd, id, spec->string, msg.bool_or("analyze", false));
     return;
   }
-  send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                      ",\"error\":\"submit needs a ref or a spec\"}");
+  send_client(fd, error_event(id, "submit needs a ref or a spec"));
 }
 
-std::uint64_t Server::send_op(std::size_t w, PendingOp op,
-                              const std::string& line) {
+void Server::queue_op(std::size_t w, PendingOp op, const std::string& line) {
   const std::uint64_t op_id = next_op_++;
   op.worker = w;
   // The line carries a %ID% placeholder so callers can build the message
   // before the id exists.
-  std::string out = line;
-  const std::size_t at = out.find("%ID%");
-  if (at != std::string::npos)
-    out.replace(at, 4, std::to_string(op_id));
-  op.line = std::move(out);
+  op.line = line;
+  op.line.replace(op.line.find("%ID%"), 4, std::to_string(op_id));
   ops_[op_id] = std::move(op);
   workers_[w].queued.push_back(op_id);
-  // NOTE: pumping can fail the op synchronously (dead worker, fatal send),
-  // which can tear down the whole submission; callers must not touch a
-  // Submission& across a send_op without re-checking subs_.
-  pump_worker(w);
-  return op_id;
+}
+
+void Server::pump_all() {
+  for (std::size_t w = 0; w < workers_.size(); ++w) pump_worker(w);
 }
 
 void Server::pump_worker(std::size_t w) {
@@ -799,14 +767,12 @@ void Server::pump_worker(std::size_t w) {
       op_failed(op_id, "worker unavailable");
     return;
   }
-  while (wp.fd >= 0 && !wp.queued.empty() &&
-         wp.outstanding.size() < kMaxInflight) {
+  while (wp.fd >= 0 && !wp.queued.empty() && !wp.inflight) {
     const std::uint64_t op_id = wp.queued.front();
     wp.queued.pop_front();
     const auto it = ops_.find(op_id);
     if (it == ops_.end()) continue;  // dropped while queued
     PendingOp& op = it->second;
-    op.sent = true;
     if (op.kind == PendingOp::Kind::kJob && op.wall_budget_s > 0) {
       op.deadline =
           std::chrono::steady_clock::now() +
@@ -814,7 +780,7 @@ void Server::pump_worker(std::size_t w) {
               std::chrono::duration<double>(op.wall_budget_s)) +
           std::chrono::milliseconds(opts_.deadline_grace_ms);
     }
-    wp.outstanding.push_back(op_id);
+    wp.inflight = op_id;
     // On failure send_worker runs worker_gone, which requeues this
     // unstarted op onto the respawn and pumps that — so just stop pumping
     // here.
@@ -850,8 +816,7 @@ void Server::submit_ref(int fd, std::uint64_t id, const std::string& ref,
                         std::uint64_t seed, std::size_t want_workers) {
   fi::FiSuiteSpec fspec;
   if (!fi::parse_fi_ref(ref, &fspec)) {
-    send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                        ",\"error\":\"bad ref (want fi:<benchmark>:<n>)\"}");
+    send_client(fd, error_event(id, "bad ref (want fi:<benchmark>:<n>)"));
     return;
   }
   fspec.seed = seed;
@@ -860,39 +825,30 @@ void Server::submit_ref(int fd, std::uint64_t id, const std::string& ref,
           fd, id,
           1 + std::min({want_workers, workers_.size(), fspec.n_faults})))
     return;
-  const std::uint64_t key = next_sub_++;
-  Submission& sub = subs_[key];
-  sub.key = key;
-  sub.client_id = id;
-  sub.client_fd = fd;
+  Submission& sub = admit(fd, id, fspec.n_faults);
   sub.is_fi = true;
   sub.fspec = fspec;
   sub.shard_workers =
       std::max<std::size_t>(1, std::min({want_workers, workers_.size(),
                                          fspec.n_faults}));
-  sub.t0 = std::chrono::steady_clock::now();
-  send_client(fd, "{\"event\":\"accepted\",\"id\":" + std::to_string(id) +
-                      ",\"jobs\":" + std::to_string(fspec.n_faults) + "}");
-  if (!clients_.count(fd)) sub.client_fd = -1;  // dropped while accepting
   // The golden runs on the suite's owner worker — the one whose warm caches
   // accumulate this suite's snapshots — picked by content hash so repeat
   // submissions land on the same process.
   const std::size_t owner = static_cast<std::size_t>(
       fnv1a64_u64(seed, fnv1a64(fspec.benchmark)) % workers_.size());
   PendingOp op;
-  op.sub = key;
+  op.sub = sub.key;
   op.kind = PendingOp::Kind::kGolden;
   sub.outstanding_ops = 1;
-  send_op(owner, std::move(op),
-          "{\"op\":\"fi-golden\",\"id\":%ID%,\"benchmark\":" +
-              campaign::json_quote(fspec.benchmark) +
-              ",\"seed\":" + std::to_string(fspec.seed) +
-              ",\"n\":" + std::to_string(fspec.n_faults) + "}");
-  // A failed send has already failed (and freed) the submission.
-  if (!subs_.count(key)) return;
+  queue_op(owner, std::move(op),
+           "{\"op\":\"fi-golden\",\"id\":%ID%,\"benchmark\":" +
+               campaign::json_quote(fspec.benchmark) +
+               ",\"seed\":" + std::to_string(fspec.seed) +
+               ",\"n\":" + std::to_string(fspec.n_faults) + "}");
   note("sub %llu: %s seed %llu -> golden on worker %zu",
-       static_cast<unsigned long long>(key), ref.c_str(),
+       static_cast<unsigned long long>(sub.key), ref.c_str(),
        static_cast<unsigned long long>(seed), owner);
+  pump_all();
 }
 
 void Server::submit_spec(int fd, std::uint64_t id, const std::string& text,
@@ -901,8 +857,7 @@ void Server::submit_spec(int fd, std::uint64_t id, const std::string& text,
   try {
     cspec = campaign::CampaignSpec::parse(text);
   } catch (const std::exception& e) {
-    send_client(fd, "{\"event\":\"error\",\"id\":" + std::to_string(id) +
-                        ",\"error\":" + campaign::json_quote(e.what()) + "}");
+    send_client(fd, error_event(id, e.what()));
     return;
   }
   if (analyze)
@@ -920,48 +875,42 @@ void Server::submit_spec(int fd, std::uint64_t id, const std::string& text,
       j.mem_budget_mb = opts_.max_job_mem_mb;
   }
   if (shed_if_overloaded(fd, id, cspec.jobs.size())) return;
+  Submission& sub = admit(fd, id, cspec.jobs.size());
+  sub.cspec = std::move(cspec);
+  sub.results.resize(sub.cspec.jobs.size());
+  sub.shard_workers = workers_.size();
+  sub.outstanding_ops = sub.cspec.jobs.size();
+  if (sub.cspec.jobs.empty()) {
+    maybe_finish(sub);
+    return;
+  }
+  for (std::size_t i = 0; i < sub.cspec.jobs.size(); ++i) {
+    const std::string spec_json =
+        campaign::job_spec_to_json(sub.cspec.jobs[i]);
+    PendingOp op;
+    op.sub = sub.key;
+    op.kind = PendingOp::Kind::kJob;
+    op.job_index = i;
+    op.wall_budget_s = sub.cspec.jobs[i].wall_budget_s;
+    // Content-hash affinity: an identical job resubmitted later lands on
+    // the same worker and hits that worker's warm caches.
+    queue_op(static_cast<std::size_t>(fnv1a64(spec_json) % workers_.size()),
+             std::move(op),
+             "{\"op\":\"job\",\"id\":%ID%,\"spec\":" + spec_json + "}");
+  }
+  pump_all();
+}
+
+Submission& Server::admit(int fd, std::uint64_t id, std::size_t jobs) {
   const std::uint64_t key = next_sub_++;
   Submission& sub = subs_[key];
   sub.key = key;
   sub.client_id = id;
-  sub.client_fd = fd;
-  sub.cspec = std::move(cspec);
-  sub.results.resize(sub.cspec.jobs.size());
-  sub.shard_workers = workers_.size();
+  sub.client_fd = fd;  // drop_client orphans it if the accept write fails
   sub.t0 = std::chrono::steady_clock::now();
   send_client(fd, "{\"event\":\"accepted\",\"id\":" + std::to_string(id) +
-                      ",\"jobs\":" + std::to_string(sub.cspec.jobs.size()) +
-                      "}");
-  if (!clients_.count(fd)) sub.client_fd = -1;  // dropped while accepting
-  if (sub.cspec.jobs.empty()) {
-    finish_spec(sub);
-    return;
-  }
-  sub.outstanding_ops = sub.cspec.jobs.size();
-  // Build the whole fan-out before sending any of it: a failing send_op
-  // fails its op synchronously, and when every op has failed the submission
-  // finishes and is freed mid-loop — `sub` must not be read after that.
-  std::vector<std::pair<std::size_t, std::string>> fan;
-  fan.reserve(sub.cspec.jobs.size());
-  for (std::size_t i = 0; i < sub.cspec.jobs.size(); ++i) {
-    const std::string spec_json =
-        campaign::job_spec_to_json(sub.cspec.jobs[i]);
-    // Content-hash affinity: an identical job resubmitted later lands on
-    // the same worker and hits that worker's warm caches.
-    const std::size_t w =
-        static_cast<std::size_t>(fnv1a64(spec_json) % workers_.size());
-    fan.emplace_back(w,
-                     "{\"op\":\"job\",\"id\":%ID%,\"spec\":" + spec_json + "}");
-  }
-  for (std::size_t i = 0; i < fan.size(); ++i) {
-    PendingOp op;
-    op.sub = key;
-    op.kind = PendingOp::Kind::kJob;
-    op.job_index = i;
-    op.wall_budget_s = sub.cspec.jobs[i].wall_budget_s;
-    send_op(fan[i].first, std::move(op), fan[i].second);
-    if (!subs_.count(key)) return;  // every op failed; already reported
-  }
+                      ",\"jobs\":" + std::to_string(jobs) + "}");
+  return sub;
 }
 
 void Server::golden_arrived(Submission& sub,
@@ -981,39 +930,28 @@ void Server::golden_arrived(Submission& sub,
   const std::string golden_json = job_result_to_json(suite.golden);
   const std::size_t shards = std::max<std::size_t>(
       1, std::min(sub.shard_workers, n));
-  const std::uint64_t key = sub.key;
-  // Build every chunk before sending any: a failing send_op can fail the
-  // last outstanding chunk, finish the submission and free `sub` mid-loop.
-  struct Chunk {
-    std::size_t worker = 0;
-    PendingOp op;
-    std::string line;
-  };
-  std::vector<Chunk> chunks(shards);
+  sub.outstanding_ops = shards;
   for (std::size_t s = 0; s < shards; ++s) {
-    Chunk& c = chunks[s];
-    c.worker = s % workers_.size();
-    c.op.sub = key;
-    c.op.kind = PendingOp::Kind::kFiChunk;
+    PendingOp op;
+    op.sub = sub.key;
+    op.kind = PendingOp::Kind::kFiChunk;
     std::string idx;
     for (std::size_t i = 0; i < n; ++i) {
       if (i * shards / n != s) continue;
-      c.op.indices.push_back(i);
+      op.indices.push_back(i);
       idx += (idx.empty() ? "" : ",") + std::to_string(i);
     }
-    c.line = "{\"op\":\"fi\",\"id\":%ID%,\"benchmark\":" +
-             campaign::json_quote(sub.fspec.benchmark) +
-             ",\"seed\":" + std::to_string(sub.fspec.seed) +
-             ",\"n\":" + std::to_string(sub.fspec.n_faults) +
-             ",\"golden\":" + golden_json + ",\"indices\":[" + idx + "]}";
-  }
-  sub.outstanding_ops = shards;
-  for (Chunk& c : chunks) {
-    send_op(c.worker, std::move(c.op), c.line);
-    if (!subs_.count(key)) return;  // chunk failures ended the submission
+    queue_op(s % workers_.size(), std::move(op),
+             "{\"op\":\"fi\",\"id\":%ID%,\"benchmark\":" +
+                 campaign::json_quote(sub.fspec.benchmark) +
+                 ",\"seed\":" + std::to_string(sub.fspec.seed) +
+                 ",\"n\":" + std::to_string(sub.fspec.n_faults) +
+                 ",\"golden\":" + golden_json + ",\"indices\":[" + idx +
+                 "]}");
   }
   note("sub %llu: golden done, %zu faults across %zu workers",
-       static_cast<unsigned long long>(key), n, shards);
+       static_cast<unsigned long long>(sub.key), n, shards);
+  pump_all();
 }
 
 void Server::handle_worker_line(std::size_t w, const std::string& line) {
@@ -1071,16 +1009,10 @@ void Server::handle_worker_line(std::size_t w, const std::string& line) {
   }
   if (ev != "result") return;
 
-  // Final event: the op is complete — retire it from the worker's FIFO.
-  // (The next queued op is pumped by read_worker once this batch of lines
-  // is drained; pumping here would invalidate the references below.)
-  auto& fifo = workers_[op.worker].outstanding;
-  for (std::size_t i = 0; i < fifo.size(); ++i) {
-    if (fifo[i] == op_id) {
-      fifo.erase(fifo.begin() + i);
-      break;
-    }
-  }
+  // Final event: the op is complete — free the worker's slot. (The next
+  // queued op is pumped by read_worker once this batch of lines is
+  // drained; pumping here would invalidate the references below.)
+  workers_[op.worker].inflight = 0;
   if (const JsonValue* st = msg.find("stats");
       st && st->kind == JsonValue::Kind::kObject) {
     const CacheStats delta = cache_stats_from_json(*st);
@@ -1093,73 +1025,60 @@ void Server::handle_worker_line(std::size_t w, const std::string& line) {
   }
   Submission& sub = sit->second;
 
-  switch (op.kind) {
-    case PendingOp::Kind::kGolden: {
-      ops_.erase(oit);
-      sub.outstanding_ops = 0;
-      const JsonValue* rv = msg.find("result");
-      campaign::JobResult golden;
-      try {
-        if (!rv) throw std::runtime_error("golden result missing");
-        golden = job_result_from_json(*rv);
-      } catch (const std::exception& e) {
-        fail_submission(sub, e.what());
-        return;
-      }
-      if (golden.verdict == "crash") {
-        fail_submission(sub, "fi golden run crashed: " + golden.error);
-        return;
-      }
-      golden_arrived(sub, golden);
-      return;
+  if (op.kind == PendingOp::Kind::kFiChunk) {
+    if (const JsonValue* fk = msg.find("fork");
+        fk && fk->kind == JsonValue::Kind::kObject) {
+      const fi::ForkStats f = fork_stats_from_json(*fk);
+      sub.fork.golden_instret += f.golden_instret;
+      sub.fork.tail_instret += f.tail_instret;
+      sub.fork.replay_instret += f.replay_instret;
+      sub.fork.snapshots += f.snapshots;
     }
-    case PendingOp::Kind::kJob: {
-      const JsonValue* rv = msg.find("result");
-      campaign::JobResult r;
-      try {
-        if (!rv) throw std::runtime_error("result missing");
-        r = job_result_from_json(*rv);
-      } catch (const std::exception& e) {
-        r = campaign::JobResult{};
-        r.name = sub.cspec.jobs[op.job_index].name;
-        r.verdict = "crash";
-        r.error = e.what();
-        r.attempts = 1;
-        r.history = {{r.verdict, r.error}};
-      }
-      relay_job(sub, r);
-      sub.results[op.job_index] = std::move(r);
-      ops_.erase(oit);
-      --sub.outstanding_ops;
-      maybe_finish(sub);
-      return;
-    }
-    case PendingOp::Kind::kFiChunk: {
-      if (const JsonValue* fk = msg.find("fork");
-          fk && fk->kind == JsonValue::Kind::kObject) {
-        const fi::ForkStats f = fork_stats_from_json(*fk);
-        sub.fork.golden_instret += f.golden_instret;
-        sub.fork.tail_instret += f.tail_instret;
-        sub.fork.replay_instret += f.replay_instret;
-        sub.fork.snapshots += f.snapshots;
-      }
-      if (const JsonValue* sk = msg.find("skipped");
-          sk && sk->kind == JsonValue::Kind::kArray) {
-        for (const JsonValue& e : sk->array) {
-          const auto i = static_cast<std::size_t>(e.number);
-          if (i < sub.results.size() &&
-              sub.results[i].verdict.empty()) {
-            sub.results[i].name = sub.suite->jobs.jobs[i].name;
-            sub.results[i].verdict = "skipped";
-          }
+    if (const JsonValue* sk = msg.find("skipped");
+        sk && sk->kind == JsonValue::Kind::kArray) {
+      for (const JsonValue& e : sk->array) {
+        const auto i = static_cast<std::size_t>(e.number);
+        if (i < sub.results.size() &&
+            sub.results[i].verdict.empty()) {
+          sub.results[i].name = sub.suite->jobs.jobs[i].name;
+          sub.results[i].verdict = "skipped";
         }
       }
-      ops_.erase(oit);
-      --sub.outstanding_ops;
-      maybe_finish(sub);
-      return;
     }
+    ops_.erase(oit);
+    --sub.outstanding_ops;
+    maybe_finish(sub);
+    return;
   }
+
+  // kGolden and kJob carry one result; an undecodable one fails the op.
+  const bool golden = op.kind == PendingOp::Kind::kGolden;
+  campaign::JobResult r;
+  try {
+    const JsonValue* rv = msg.find("result");
+    if (!rv)
+      throw std::runtime_error(golden ? "golden result missing"
+                                      : "result missing");
+    r = job_result_from_json(*rv);
+  } catch (const std::exception& e) {
+    op_failed(op_id, e.what());
+    return;
+  }
+  if (golden && r.verdict == "crash") {
+    op_failed(op_id, "fi golden run crashed: " + r.error);
+    return;
+  }
+  const std::size_t slot = op.job_index;
+  ops_.erase(oit);
+  if (golden) {
+    sub.outstanding_ops = 0;
+    golden_arrived(sub, r);
+    return;
+  }
+  relay_job(sub, r);
+  sub.results[slot] = std::move(r);
+  --sub.outstanding_ops;
+  maybe_finish(sub);
 }
 
 void Server::op_failed(std::uint64_t op_id, const std::string& error,
@@ -1168,74 +1087,51 @@ void Server::op_failed(std::uint64_t op_id, const std::string& error,
   if (oit == ops_.end()) return;
   const PendingOp op = std::move(oit->second);
   ops_.erase(oit);
-  auto& fifo = workers_[op.worker].outstanding;
-  for (std::size_t i = 0; i < fifo.size(); ++i) {
-    if (fifo[i] == op_id) {
-      fifo.erase(fifo.begin() + i);
-      break;
-    }
-  }
-  auto& q = workers_[op.worker].queued;
-  for (auto it = q.begin(); it != q.end(); ++it) {
-    if (*it == op_id) {
-      q.erase(it);
-      break;
-    }
-  }
-  pump_worker(op.worker);  // a slot may have opened; `op` is a copy, safe
-  const bool hung = std::strcmp(verdict, "hung") == 0;
+  if (workers_[op.worker].inflight == op_id) workers_[op.worker].inflight = 0;
   auto sit = subs_.find(op.sub);
   if (sit == subs_.end()) return;
   Submission& sub = sit->second;
-  switch (op.kind) {
-    case PendingOp::Kind::kGolden:
-      if (hung) ++totals_.hung_jobs;
-      fail_submission(sub, error);
-      return;
-    case PendingOp::Kind::kJob: {
-      campaign::JobResult r;
-      r.name = sub.cspec.jobs[op.job_index].name;
-      r.verdict = verdict;
+  const bool skipped = std::strcmp(verdict, "skipped") == 0;
+  const bool hung = std::strcmp(verdict, "hung") == 0;
+  if (skipped) sub.interrupted = true;
+  if (op.kind == PendingOp::Kind::kGolden) {
+    if (hung) ++totals_.hung_jobs;
+    fail_submission(sub, error);
+    return;
+  }
+  // Every job the op will never deliver gets a result: a kJob its one
+  // slot, a kFiChunk each fault it had not streamed yet — so the
+  // submission still completes with a full matrix.
+  std::vector<std::size_t> slots;
+  if (op.kind == PendingOp::Kind::kJob) slots.push_back(op.job_index);
+  for (const std::size_t i : op.indices)
+    if (!op.received.count(i)) slots.push_back(i);
+  for (const std::size_t i : slots) {
+    campaign::JobResult r;
+    r.name = sub.is_fi ? sub.suite->jobs.jobs[i].name : sub.cspec.jobs[i].name;
+    r.verdict = verdict;
+    // A skipped job never ran: name and verdict only, not relayed — the
+    // report's "interrupted" flag already says so. A lost one ran once.
+    if (!skipped) {
       r.error = error;
       r.attempts = 1;
       if (hung) {
-        // How far the job got before the kill, from the worker's last
+        // How far a job got before the kill, from the worker's last
         // heartbeat — the "same instret twice = deterministic hang" signal
-        // the retry policy keys on.
-        r.run.instret = op.progress_instret;
+        // the retry policy keys on. A chunk's progress belongs to no
+        // single fault.
+        if (op.kind == PendingOp::Kind::kJob)
+          r.run.instret = op.progress_instret;
         ++totals_.hung_jobs;
         ++sub.service.hung_jobs;
       }
       r.history = {{r.verdict, r.error, r.run.instret}};
       relay_job(sub, r);
-      sub.results[op.job_index] = std::move(r);
-      --sub.outstanding_ops;
-      maybe_finish(sub);
-      return;
     }
-    case PendingOp::Kind::kFiChunk: {
-      // Faults the chunk had not streamed yet inherit the failure verdict —
-      // the submission still completes with a full matrix.
-      for (std::size_t i : op.indices) {
-        if (op.received.count(i)) continue;
-        campaign::JobResult r;
-        r.name = sub.suite->jobs.jobs[i].name;
-        r.verdict = verdict;
-        r.error = error;
-        r.attempts = 1;
-        r.history = {{r.verdict, r.error}};
-        if (hung) {
-          ++totals_.hung_jobs;
-          ++sub.service.hung_jobs;
-        }
-        relay_job(sub, r);
-        sub.results[i] = std::move(r);
-      }
-      --sub.outstanding_ops;
-      maybe_finish(sub);
-      return;
-    }
+    sub.results[i] = std::move(r);
   }
+  --sub.outstanding_ops;
+  maybe_finish(sub);
 }
 
 void Server::worker_gone(std::size_t w) {
@@ -1255,31 +1151,25 @@ void Server::worker_gone(std::size_t w) {
   // So does an in-flight op the worker never started: its line died unread
   // in the socket (e.g. sent to an idle worker that was being killed). An
   // escalation kill keeps its "hung" verdict either way.
-  std::vector<std::uint64_t> lost;
-  for (auto it = wp.outstanding.rbegin(); it != wp.outstanding.rend(); ++it) {
-    const auto op = ops_.find(*it);
-    if (!hang && op != ops_.end() && !op->second.started &&
-        !op->second.requeued) {
-      op->second.sent = false;
-      op->second.deadline.reset();
-      op->second.requeued = true;
-      backlog.push_front(*it);
-    } else {
-      lost.insert(lost.begin(), *it);
-    }
-  }
-  wp.outstanding.clear();
+  const std::uint64_t lost = std::exchange(wp.inflight, 0);
   wp.escalation = 0;
   wp.killed_for_hang = false;
-  if (!lost.empty())
-    note("worker %zu died with %zu op(s) in flight%s", w, lost.size(),
-         hang ? " (killed by escalation)" : "");
-  for (std::uint64_t op_id : lost)
-    op_failed(op_id,
-              hang ? "killed: job exceeded its deadline or the worker went "
-                     "silent"
-                   : "worker crashed",
-              hang ? "hung" : "crash");
+  if (const auto it = ops_.find(lost); it != ops_.end()) {
+    PendingOp& op = it->second;
+    if (!hang && !op.started && !op.requeued) {
+      op.deadline.reset();
+      op.requeued = true;
+      backlog.push_front(lost);
+    } else {
+      note("worker %zu died with an op in flight%s", w,
+           hang ? " (killed by escalation)" : "");
+      op_failed(lost,
+                hang ? "killed: job exceeded its deadline or the worker went "
+                       "silent"
+                     : "worker crashed",
+                hang ? "hung" : "crash");
+    }
+  }
   if (wp.pid > 0) {
     int status = 0;
     ::waitpid(wp.pid, &status, WNOHANG);
@@ -1318,29 +1208,36 @@ void Server::relay_job(const Submission& sub, const campaign::JobResult& r) {
 
 void Server::maybe_finish(Submission& sub) {
   if (sub.outstanding_ops != 0) return;
-  if (sub.is_fi)
-    finish_fi(sub);
-  else
-    finish_spec(sub);
-}
-
-void Server::finish_fi(Submission& sub) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sub.t0)
           .count();
   std::string report;
   bool ok = false;
   try {
-    std::vector<fi::Verdict> verdicts;
-    const fi::CoverageMatrix m =
-        fi::build_matrix(*sub.suite, sub.results, &verdicts);
-    ok = m.verdict_total(fi::Verdict::kCrash) == 0 && !sub.interrupted;
-    const std::string extra =
-        std::string(sub.interrupted ? "\"interrupted\": true,\n  " : "") +
-        "\"service\": " + sub.service.to_json() +
-        ",\n  \"fork\": " + fork_stats_to_json(sub.fork);
-    report = fi::matrix_json(*sub.suite, sub.results, verdicts,
-                             sub.shard_workers, wall, extra);
+    if (sub.is_fi) {
+      std::vector<fi::Verdict> verdicts;
+      const fi::CoverageMatrix m =
+          fi::build_matrix(*sub.suite, sub.results, &verdicts);
+      ok = m.verdict_total(fi::Verdict::kCrash) == 0 && !sub.interrupted;
+      const std::string extra =
+          std::string(sub.interrupted ? "\"interrupted\": true,\n  " : "") +
+          "\"service\": " + sub.service.to_json() +
+          ",\n  \"fork\": " + fork_stats_to_json(sub.fork);
+      report = fi::matrix_json(*sub.suite, sub.results, verdicts,
+                               sub.shard_workers, wall, extra);
+    } else {
+      campaign::Aggregator agg;
+      agg.set_interrupted(sub.interrupted);
+      for (const campaign::JobResult& r : sub.results) {
+        // Drain-skipped jobs never ran; the partial report counts only what
+        // did (the "interrupted" flag says the list is incomplete).
+        if (sub.interrupted && r.verdict == "skipped") continue;
+        agg.add(r);
+      }
+      ok = agg.all_ok();
+      report = agg.to_json(sub.cspec.name, sub.shard_workers, wall,
+                           "\"service\": " + sub.service.to_json());
+    }
   } catch (const std::exception& e) {
     fail_submission(sub, e.what());
     return;
@@ -1355,35 +1252,8 @@ void Server::finish_fi(Submission& sub) {
   drop_submission(sub.key);
 }
 
-void Server::finish_spec(Submission& sub) {
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sub.t0)
-          .count();
-  campaign::Aggregator agg;
-  agg.set_interrupted(sub.interrupted);
-  for (const campaign::JobResult& r : sub.results) {
-    // Drain-skipped jobs never ran; the partial report counts only what did
-    // (the "interrupted" flag says the list is incomplete).
-    if (sub.interrupted && r.verdict == "skipped") continue;
-    agg.add(r);
-  }
-  const std::string extra = "\"service\": " + sub.service.to_json();
-  const std::string report =
-      agg.to_json(sub.cspec.name, sub.shard_workers, wall, extra);
-  to_client(sub,
-            "{\"event\":\"done\",\"id\":" + std::to_string(sub.client_id) +
-                ",\"ok\":" + (agg.all_ok() ? "true" : "false") +
-                ",\"report\":" + campaign::json_quote(report) +
-                ",\"service\":" + sub.service.to_json() + "}");
-  note("sub %llu: done (%.2fs)", static_cast<unsigned long long>(sub.key),
-       wall);
-  drop_submission(sub.key);
-}
-
 void Server::fail_submission(Submission& sub, const std::string& error) {
-  to_client(sub,
-            "{\"event\":\"error\",\"id\":" + std::to_string(sub.client_id) +
-                ",\"error\":" + campaign::json_quote(error) + "}");
+  to_client(sub, error_event(sub.client_id, error));
   note("sub %llu: failed: %s", static_cast<unsigned long long>(sub.key),
        error.c_str());
   drop_submission(sub.key);
@@ -1399,20 +1269,8 @@ void Server::drop_submission(std::uint64_t key) {
       ++it;
   }
   for (WorkerProc& w : workers_) {
-    auto& fifo = w.outstanding;
-    for (std::size_t i = 0; i < fifo.size();) {
-      if (!ops_.count(fifo[i]))
-        fifo.erase(fifo.begin() + i);
-      else
-        ++i;
-    }
-    auto& q = w.queued;
-    for (auto it = q.begin(); it != q.end();) {
-      if (!ops_.count(*it))
-        it = q.erase(it);
-      else
-        ++it;
-    }
+    if (!ops_.count(w.inflight)) w.inflight = 0;
+    std::erase_if(w.queued, [&](std::uint64_t id) { return !ops_.count(id); });
   }
   subs_.erase(key);
 }

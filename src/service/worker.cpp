@@ -88,6 +88,11 @@ int worker_main(int fd, const WorkerConfig& cfg) {
 
       const CacheStats before = cache.stats();
       auto delta = [&] { return (cache.stats() - before).to_json(); };
+      // Both fi ops name their suite the same way.
+      fi::FiSuiteSpec suite;
+      suite.benchmark = msg.str_or("benchmark");
+      suite.seed = msg.u64_or("seed", 1);
+      suite.n_faults = static_cast<std::size_t>(msg.u64_or("n", 0));
 
       if (op == "job") {
         const JsonValue* spec = msg.find("spec");
@@ -100,19 +105,11 @@ int worker_main(int fd, const WorkerConfig& cfg) {
              ",\"result\":" + job_result_to_json(res) +
              ",\"stats\":" + delta() + "}");
       } else if (op == "fi-golden") {
-        fi::FiSuiteSpec spec;
-        spec.benchmark = msg.str_or("benchmark");
-        spec.seed = msg.u64_or("seed", 1);
-        spec.n_faults = static_cast<std::size_t>(msg.u64_or("n", 0));
-        const campaign::JobResult res = exec.fi_golden(spec);
+        const campaign::JobResult res = exec.fi_golden(suite);
         send(ev_head("result", id) +
              ",\"result\":" + job_result_to_json(res) +
              ",\"stats\":" + delta() + "}");
       } else if (op == "fi") {
-        fi::FiSuiteSpec spec;
-        spec.benchmark = msg.str_or("benchmark");
-        spec.seed = msg.u64_or("seed", 1);
-        spec.n_faults = static_cast<std::size_t>(msg.u64_or("n", 0));
         const JsonValue* goldenv = msg.find("golden");
         if (!goldenv || goldenv->kind != JsonValue::Kind::kObject)
           throw std::runtime_error("fi op without a golden object");
@@ -132,7 +129,7 @@ int worker_main(int fd, const WorkerConfig& cfg) {
         };
         fi::ForkStats fork;
         const std::vector<campaign::JobResult> results =
-            exec.fi_run(spec, golden, indices, on_done, &fork);
+            exec.fi_run(suite, golden, indices, on_done, &fork);
         std::string skipped;
         for (std::size_t i : indices)
           if (i < results.size() && results[i].verdict == "skipped")
@@ -141,9 +138,6 @@ int worker_main(int fd, const WorkerConfig& cfg) {
              ",\"fork\":" + fork_stats_to_json(fork) +
              ",\"skipped\":[" + skipped +
              "],\"stats\":" + delta() + "}");
-      } else if (op == "stats") {
-        send(ev_head("result", id) +
-             ",\"stats\":" + cache.stats().to_json() + "}");
       } else {
         throw std::runtime_error("unknown op: " + op);
       }

@@ -12,7 +12,6 @@
 //   {"op":"fi-golden","id":N,"benchmark":B,"seed":S,"n":K}
 //   {"op":"fi","id":N,"benchmark":B,"seed":S,"n":K,
 //    "golden":{...},"indices":[...]}            fork-mode fault chunk
-//   {"op":"stats","id":N}                       cumulative cache counters
 //   {"op":"quit"}                               exit 0
 //
 // Replies (worker -> parent):
@@ -22,7 +21,7 @@
 //   {"ev":"job","id":N,"result":{...}}          one fi fault finished
 //   {"ev":"result","id":N,...}                  op finished; carries
 //       "result" (job/fi-golden), or "fork" + "skipped" (fi), and always
-//       "stats" (the op's CacheStats delta; cumulative for op "stats")
+//       "stats" (the op's CacheStats delta)
 //   {"ev":"error","id":N,"error":"..."}         op failed
 //   {"ev":"hb","id":N,"instret":I}              liveness heartbeat, every
 //       WorkerConfig::heartbeat_ms from a dedicated thread. N is the op

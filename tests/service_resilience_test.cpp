@@ -17,7 +17,8 @@
 //    never wedging the daemon,
 //  * shedding is a structured reply with a backoff hint, not a stall,
 //  * SIGTERM mid-campaign yields an "interrupted" report, exactly-once
-//    job events, and zero leftover worker processes.
+//    job events, and zero leftover worker processes; a queued fi golden
+//    fails its submission, a queued fi chunk skips its faults.
 #include <dirent.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -219,7 +220,7 @@ TEST(ClientDeadline, AcceptsButNeverAnswersTripsTheReadTimeout) {
 TEST(ClientDeadline, DeadlineReaderDistinguishesTimeoutFromEof) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  service::DeadlineLineReader in(sv[0], 100);
+  service::LineReader in(sv[0], 100);
   std::string line;
   EXPECT_FALSE(in.read_line(&line));
   EXPECT_TRUE(in.timed_out());
@@ -229,7 +230,7 @@ TEST(ClientDeadline, DeadlineReaderDistinguishesTimeoutFromEof) {
   EXPECT_EQ(line, "hello");
 
   ::close(sv[1]);
-  service::DeadlineLineReader eof_in(sv[0], 100);
+  service::LineReader eof_in(sv[0], 100);
   EXPECT_FALSE(eof_in.read_line(&line));
   EXPECT_FALSE(eof_in.timed_out());  // EOF, not expiry
   ::close(sv[0]);
@@ -633,6 +634,155 @@ TEST(ServiceResilience, SigtermDrainWithBacklogInterruptsExactlyOnce) {
     if (!workers_gone) ::usleep(50 * 1000);
   }
   EXPECT_TRUE(workers_gone) << "a worker process survived the drain";
+  ::unlink(opts.socket_path.c_str());
+}
+
+// Drains that catch an fi submission with an op still queued. The tests
+// pipeline several submissions on one raw connection (Client handles one
+// at a time), so the server sees them in a known order.
+
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct sockaddr_un addr {};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool submit_raw(int fd, std::uint64_t id, const std::string& body) {
+  return service::write_line(fd, "{\"op\":\"submit\",\"id\":" +
+                                     std::to_string(id) + "," + body + "}");
+}
+
+std::string spec_body(const std::string& spec) {
+  return "\"spec\":" + campaign::json_quote(spec);
+}
+
+/// Reads events until `stop` returns true for one; false if the stream
+/// ended or stalled first.
+template <typename Stop>
+bool read_events_until(service::LineReader& in, Stop stop) {
+  std::string line;
+  while (in.read_line(&line))
+    if (stop(campaign::json_parse(line))) return true;
+  return false;
+}
+
+constexpr const char* kDrainSpinSpec =
+    "campaign drain-spin\n"
+    "job spin\n"
+    "firmware spin\n"
+    "mode plain\n"
+    "max-ms 100000000\n"
+    "wall-budget-s 2\n";
+
+TEST(ServiceResilience, DrainWithQueuedGoldenFailsTheSubmission) {
+  // One worker busy with a spin job when SIGTERM lands, an fi golden op
+  // queued behind it. The golden never runs, so there is no suite to report
+  // on: the fi submission fails, and the spin job still finishes.
+  service::ServerOptions opts;
+  opts.socket_path = temp_socket_path();
+  opts.workers = 1;
+  opts.quiet = true;
+  const pid_t daemon = fork_daemon(opts);
+  const int fd = connect_raw(opts.socket_path);
+  ASSERT_GE(fd, 0);
+  service::LineReader in(fd, 60000);
+
+  ASSERT_TRUE(submit_raw(fd, 1, spec_body(kDrainSpinSpec)));
+  ASSERT_TRUE(submit_raw(fd, 2, "\"ref\":\"fi:attack:3:4\",\"seed\":1"));
+  std::set<std::uint64_t> accepted;
+  ASSERT_TRUE(read_events_until(in, [&](const campaign::JsonValue& m) {
+    if (m.str_or("event") == "accepted") accepted.insert(m.u64_or("id", 0));
+    return accepted.size() == 2;
+  }));
+  ::kill(daemon, SIGTERM);
+
+  std::string fi_error;
+  bool spin_done = false;
+  read_events_until(in, [&](const campaign::JsonValue& m) {
+    const std::string ev = m.str_or("event");
+    const std::uint64_t id = m.u64_or("id", 0);
+    if (ev == "error" && id == 2) fi_error = m.str_or("error");
+    if (ev == "done" && id == 1) spin_done = true;
+    return !fi_error.empty() && spin_done;
+  });
+  ::close(fd);
+  EXPECT_EQ(fi_error, "server draining before the golden run started");
+  EXPECT_TRUE(spin_done);
+
+  int st = 0;
+  ASSERT_TRUE(wait_exit(daemon, &st, 60)) << "daemon did not drain and exit";
+  EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+  ::unlink(opts.socket_path.c_str());
+}
+
+TEST(ServiceResilience, DrainWithQueuedFiChunkSkipsItsFaults) {
+  // One worker runs, in order: the fi golden, a short job, a spin job. The
+  // golden's fault chunk queues behind the spin job, so once the short job
+  // is done the chunk is queued and the spin job in flight — SIGTERM then
+  // sheds the chunk. Its faults are "skipped", the report says
+  // "interrupted", and every fault is either streamed once or skipped.
+  service::ServerOptions opts;
+  opts.socket_path = temp_socket_path();
+  opts.workers = 1;
+  opts.quiet = true;
+  const pid_t daemon = fork_daemon(opts);
+  const int fd = connect_raw(opts.socket_path);
+  ASSERT_GE(fd, 0);
+  service::LineReader in(fd, 60000);
+
+  constexpr std::size_t kFaults = 4;
+  ASSERT_TRUE(submit_raw(fd, 1, "\"ref\":\"fi:attack:3:4\",\"seed\":1"));
+  ASSERT_TRUE(submit_raw(
+      fd, 2,
+      spec_body("campaign drain-short\njob short\nfirmware qsort\n"
+                "mode plain\nmax-ms 5\n")));
+  ASSERT_TRUE(submit_raw(fd, 3, spec_body(kDrainSpinSpec)));
+  ASSERT_TRUE(read_events_until(in, [&](const campaign::JsonValue& m) {
+    return m.str_or("event") == "done" && m.u64_or("id", 0) == 2;
+  }));
+  ::kill(daemon, SIGTERM);
+
+  std::vector<std::string> fault_events;
+  campaign::JsonValue fi_done;
+  bool spin_done = false;
+  read_events_until(in, [&](const campaign::JsonValue& m) {
+    const std::string ev = m.str_or("event");
+    const std::uint64_t id = m.u64_or("id", 0);
+    if (ev == "job" && id == 1) fault_events.push_back(m.str_or("name"));
+    if (ev == "done" && id == 1) fi_done = m;
+    if (ev == "done" && id == 3) spin_done = true;
+    return fi_done.find("report") && spin_done;
+  });
+  ::close(fd);
+  EXPECT_TRUE(spin_done);
+  ASSERT_NE(fi_done.find("report"), nullptr) << "no fi report";
+  EXPECT_FALSE(fi_done.bool_or("ok", true));
+  const std::string report = fi_done.str_or("report");
+  EXPECT_NE(report.find("\"interrupted\": true"), std::string::npos);
+
+  const campaign::JsonValue doc = campaign::json_parse(report);
+  const campaign::JsonValue* faults = doc.find("faults");
+  ASSERT_NE(faults, nullptr);
+  ASSERT_EQ(faults->array.size(), kFaults);
+  std::size_t skipped = 0;
+  for (const campaign::JsonValue& f : faults->array)
+    if (f.str_or("run_verdict") == "skipped") ++skipped;
+  EXPECT_EQ(skipped, kFaults);  // the whole chunk was shed unsent
+  const std::set<std::string> unique(fault_events.begin(), fault_events.end());
+  EXPECT_EQ(unique.size(), fault_events.size()) << "a fault event repeated";
+  EXPECT_EQ(skipped + fault_events.size(), kFaults);
+
+  int st = 0;
+  ASSERT_TRUE(wait_exit(daemon, &st, 60)) << "daemon did not drain and exit";
+  EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
   ::unlink(opts.socket_path.c_str());
 }
 

@@ -211,6 +211,40 @@ TEST(WarmCacheTest, SuiteKeyIsAPrefixIdentity) {
   EXPECT_NE(cache.suite_key(a), cache.suite_key(d));
 }
 
+// The builtin names the campaign resolves are the names the warm cache keys
+// by name: a path key would hash a file, and no file of these names exists.
+TEST(WarmCacheTest, EveryBuiltinNameResolvesAndKeysByName) {
+  service::WarmCache cache;
+  for (const std::string name :
+       {"primes", "spin", "qsort", "dhrystone", "sha256", "sha512",
+        "simple-sensor", "rtos-tasks", "immobilizer", "immobilizer-vulnerable",
+        "code-reuse", "attack:3"}) {
+    EXPECT_TRUE(campaign::is_builtin_firmware(name)) << name;
+    EXPECT_NO_THROW(campaign::resolve_firmware(name)) << name;
+    EXPECT_EQ(cache.firmware_key(name),
+              service::fnv1a64(name, service::fnv1a64("builtin-fw:")))
+        << name;
+  }
+  // Each builtin policy resolves against a firmware carrying its symbols.
+  for (const auto& [name, firmware] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"", "primes"},
+           {"permissive", "primes"},
+           {"code-injection", "attack:3"},
+           {"immobilizer", "immobilizer"},
+           {"immobilizer-per-byte", "immobilizer"}}) {
+    EXPECT_TRUE(campaign::is_builtin_policy(name)) << name;
+    EXPECT_NO_THROW(campaign::resolve_policy(
+        name, campaign::resolve_firmware(firmware)))
+        << name;
+    EXPECT_EQ(cache.policy_content_key(name),
+              service::fnv1a64(name, service::fnv1a64("builtin-policy:")))
+        << name;
+  }
+  EXPECT_FALSE(campaign::is_builtin_firmware("fw.elf"));
+  EXPECT_FALSE(campaign::is_builtin_policy("file:demo.pol"));
+}
+
 TEST(SuiteFromGolden, MatchesBuildSuiteExactly) {
   fi::FiSuiteSpec spec;
   spec.benchmark = "attack:3";
@@ -278,6 +312,26 @@ TEST(Protocol, EveryDiftCounterSurvivesTheWire) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(back.run.stats.variant_promotions,
             orig.run.stats.variant_promotions);
+}
+
+// Every CacheStats counter crosses the wire under its own name, the same
+// check as for DiftStats above.
+TEST(Protocol, EveryCacheCounterSurvivesTheWire) {
+  service::CacheStats orig;
+  std::vector<std::uint64_t> want;
+  orig.for_each([&](const char*, std::uint64_t& v) {
+    v = 1000003 * (want.size() + 1) + want.size();
+    want.push_back(v);
+  });
+  // for_each visits every member: CacheStats holds nothing but counters.
+  ASSERT_EQ(want.size(), sizeof(service::CacheStats) / sizeof(std::uint64_t));
+
+  const service::CacheStats back = service::cache_stats_from_json(
+      campaign::json_parse(orig.to_json()));
+  std::vector<std::uint64_t> got;
+  back.for_each([&](const char*, std::uint64_t v) { got.push_back(v); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(back.heartbeat_misses, orig.heartbeat_misses);
 }
 
 TEST(Protocol, DecodedGoldenDrivesTheSuiteLikeTheOriginal) {
