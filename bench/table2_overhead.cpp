@@ -19,7 +19,10 @@
 // (BENCH_table2.json by default; override with argv[2]) carrying per-workload
 // VP/VP+ MIPS, the per-rep raw wall times, the overhead factor, the DIFT
 // engine counters of the VP+ run, and the geometric-mean overhead of the
-// paper's workload set — the number perf work is measured against.
+// paper's workload set — the number perf work is measured against. The report
+// also names the host (CPU model, hardware threads) and the source commit
+// (`git describe --always --dirty` of the working directory, or "unknown"),
+// so absolute MIPS can be compared only where they are comparable.
 //
 // The runs execute through the campaign engine (campaign/suites.hpp);
 // `--jobs N` / VPDIFT_JOBS runs them on N worker threads. NOTE: overhead
@@ -35,8 +38,10 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "campaign/json.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suites.hpp"
@@ -52,6 +57,34 @@ double median(std::vector<double> v) {
   const std::size_t n = v.size();
   if (n == 0) return 0.0;
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// {"cpu": first "model name" of /proc/cpuinfo, "nproc": hardware threads}.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  return "{\"cpu\": " + campaign::json_quote(cpu) + ", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) + "}";
+}
+
+/// The source commit the bench runs in, "-dirty" when the tree has local
+/// changes; "unknown" outside a git checkout.
+std::string source_commit() {
+  std::string out;
+  if (FILE* f = popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, f)) out += buf;
+    pclose(f);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
 }
 
 std::vector<std::string> split_csv(const char* s) {
@@ -254,9 +287,11 @@ int main(int argc, char** argv) {
                   "{\n  \"bench\": \"table2_overhead\",\n  \"scale\": %u,\n"
                   "  \"jobs\": %zu,\n  \"reps\": %u,\n"
                   "  \"geomean_overhead\": %.4f,\n"
-                  "  \"all_ok\": %s,\n  \"workloads\": [\n",
+                  "  \"all_ok\": %s,\n",
                   scale, jobs, reps, geomean_ov, all_ok ? "true" : "false");
-    out << head << json_rows << "\n  ]\n}\n";
+    out << head << "  \"host\": " << host_json() << ",\n  \"commit\": "
+        << campaign::json_quote(source_commit()) << ",\n  \"workloads\": [\n"
+        << json_rows << "\n  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   } else {
     std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());

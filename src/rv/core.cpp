@@ -267,7 +267,7 @@ struct CoreOps {
                                              c.rt(d.rs2));
       return;
     }
-    // MMIO store (peripheral clearances, smc_break_) or protected store.
+    // MMIO store (peripheral clearances) or protected store.
     if (c.store(addr, value, PLAIN ? dift::kBottomTag : c.rt(d.rs2), SZ))
       c.take_trap(kCauseStoreAccessFault, addr);
   }
@@ -548,10 +548,11 @@ bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
   p.length = size;
   p.set_tag_summary(tag);  // tbuf was filled uniformly above
   sysc::Time delay;
+  // The block goes on: a peripheral write cannot change code memory before
+  // this quantum ends (DMA copies run in the DMA thread, and the raw-byte
+  // revalidation on block entry catches them), and an interrupt it raises
+  // at once is caught by the mip & mie test after every memory micro-op.
   transport_with_pc(p, delay);
-  // A peripheral register write may have side effects on code memory (e.g.
-  // starting a DMA transfer into RAM); end the current block conservatively.
-  smc_break_ = true;
   return !p.ok();
 }
 
@@ -796,18 +797,23 @@ bool Core<W>::plain_clearances_ok() {
 template <typename W>
 bool Core<W>::plain_state() {
   // Pure function of architectural state (the sticky reg_tag_or_ bit is
-  // re-verified by a full register rescan before it can disable the plain
+  // re-verified against the registers before it can disable the plain
   // path), so warm/cold caches, snapshot forks and replays all make the
-  // same per-dispatch variant decision.
+  // same per-dispatch variant decision. The register the last rescan found
+  // tainted is tested first; only once it is clean do all 32 get rescanned.
   if constexpr (!kTainted) {
     return false;  // the plain core has no variant split
   } else {
     if (trace_) return false;  // careful path owns trace-attached runs
     if (!shadow_ || !shadow_->all_bottom()) return false;
     if (reg_tag_or_ != dift::kBottomTag) {
-      Tag t = dift::kBottomTag;
-      for (const auto& r : regs_) t = static_cast<Tag>(t | Ops::tag(r));
-      if (t != dift::kBottomTag) return false;
+      if (Ops::tag(regs_[reg_tag_hint_]) != dift::kBottomTag) return false;
+      for (std::uint8_t r = 0; r < 32; ++r) {
+        if (Ops::tag(regs_[r]) != dift::kBottomTag) {
+          reg_tag_hint_ = r;
+          return false;
+        }
+      }
       reg_tag_or_ = dift::kBottomTag;
     }
     return plain_clearances_ok();

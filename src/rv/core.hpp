@@ -326,8 +326,8 @@ class Core {
   // Bounds (DMI offsets) of the block currently executing, so store() can
   // flag forward stores into the remainder of the block; `smc_break_` makes
   // the dispatch loop leave the block and re-translate at the new pc. Bus
-  // (MMIO) stores set the flag unconditionally: a peripheral register write
-  // may trigger DMA into code memory.
+  // (MMIO) stores leave it alone: no peripheral writes code memory
+  // synchronously (see Core::store).
   std::uint64_t cur_block_lo_ = 0;
   std::uint64_t cur_block_hi_ = 0;
   bool smc_break_ = false;
@@ -336,6 +336,8 @@ class Core {
   // written to a register: 0 proves all register tags are ⊥; non-zero is
   // re-verified (and cleared) by a 32-register rescan at the next gate
   // evaluation, so the gate stays a pure function of architectural state.
+  // `reg_tag_hint_` is the register the last rescan found tainted; while it
+  // still is, the gate answers without a rescan.
   // `taint_break_` is raised by a plain-variant handler whose result
   // introduced taint (tagged MMIO read / DMA side effect): the dispatch
   // loop leaves the plain loop before the next op so everything downstream
@@ -343,6 +345,7 @@ class Core {
   // execution clearance and store protection admits ⊥-tagged execution"
   // against the active flow table (invalidated by set_policy()).
   dift::Tag reg_tag_or_ = dift::kBottomTag;
+  std::uint8_t reg_tag_hint_ = 0;
   bool taint_break_ = false;
   const std::uint8_t* plain_ok_flow_ = nullptr;
   bool plain_ok_ = false;

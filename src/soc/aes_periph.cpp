@@ -7,7 +7,7 @@
 namespace vpdift::soc {
 
 AesPeriph::AesPeriph(sysc::Simulation& sim, std::string name)
-    : Module(sim, std::move(name)) {
+    : Module(sim, std::move(name)), engine_where_(name_ + ".engine") {
   tsock_.register_transport(
       [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
 }
@@ -23,7 +23,7 @@ void AesPeriph::encrypt() {
   if (unit_clearance_)
     dift::check_flow(key_tag, *unit_clearance_,
                      dift::ViolationKind::kExecUnitClearance, 0, 0,
-                     (name_ + ".engine").c_str());
+                     engine_where_.c_str());
 
   // The ciphertext depends on everything the engine processed.
   dift::Tag combined = key_tag;

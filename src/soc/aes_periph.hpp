@@ -80,6 +80,7 @@ class AesPeriph : public sysc::Module {
   void encrypt();
 
   tlmlite::TargetSocket tsock_;
+  const std::string engine_where_;  ///< clearance-check site name
   AesKey key_{};
   std::array<dift::Tag, 16> key_tags_{};
   AesBlock input_{};

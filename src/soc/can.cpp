@@ -6,7 +6,7 @@
 namespace vpdift::soc {
 
 CanPeriph::CanPeriph(sysc::Simulation& sim, std::string name)
-    : Module(sim, std::move(name)) {
+    : Module(sim, std::move(name)), tx_where_(name_ + ".tx") {
   tsock_.register_transport(
       [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
 }
@@ -77,7 +77,7 @@ void CanPeriph::transport(tlmlite::Payload& p, sysc::Time& delay) {
           for (std::uint32_t i = 0; i < tx_.dlc && i < 8; ++i)
             dift::check_flow(tx_tags_[i], *tx_clearance_,
                              dift::ViolationKind::kOutputClearance, 0,
-                             kTxData + i, (name_ + ".tx").c_str());
+                             kTxData + i, tx_where_.c_str());
         }
         ++tx_count_;
         if (on_tx_) on_tx_(tx_);

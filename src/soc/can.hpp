@@ -96,6 +96,7 @@ class CanPeriph : public sysc::Module {
   void update_irq();
 
   tlmlite::TargetSocket tsock_;
+  const std::string tx_where_;  ///< clearance-check site name
   CanFrame tx_;
   std::array<dift::Tag, 8> tx_tags_{};
   std::deque<CanFrame> rx_;

@@ -5,7 +5,8 @@
 
 namespace vpdift::soc {
 
-Gpio::Gpio(sysc::Simulation& sim, std::string name) : Module(sim, std::move(name)) {
+Gpio::Gpio(sysc::Simulation& sim, std::string name)
+    : Module(sim, std::move(name)), out_where_(name_ + ".out") {
   tsock_.register_transport(
       [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
 }
@@ -33,7 +34,7 @@ void Gpio::transport(tlmlite::Payload& p, sysc::Time& delay) {
           for (std::uint32_t i = 0; i < p.length; ++i)
             dift::check_flow(p.tags[i], *out_clearance_,
                              dift::ViolationKind::kOutputClearance, 0,
-                             p.address, (name_ + ".out").c_str());
+                             p.address, out_where_.c_str());
         wr_u32(out_);
         if (on_out_) on_out_(out_);
       }

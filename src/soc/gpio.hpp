@@ -55,6 +55,7 @@ class Gpio : public sysc::Module {
   void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
+  const std::string out_where_;  ///< clearance-check site name
   std::uint32_t out_ = 0, in_ = 0, dir_ = 0;
   std::optional<dift::Tag> out_clearance_;
   dift::Tag in_tag_ = dift::kBottomTag;

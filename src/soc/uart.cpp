@@ -5,7 +5,8 @@
 
 namespace vpdift::soc {
 
-Uart::Uart(sysc::Simulation& sim, std::string name) : Module(sim, std::move(name)) {
+Uart::Uart(sysc::Simulation& sim, std::string name)
+    : Module(sim, std::move(name)), tx_where_(name_ + ".tx") {
   tsock_.register_transport(
       [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
 }
@@ -53,7 +54,7 @@ void Uart::transport(tlmlite::Payload& p, sysc::Time& delay) {
         for (std::uint32_t i = 1; i < p.length; ++i) t = dift::lub(t, p.tags[i]);
         dift::check_flow(t, *tx_clearance_,
                          dift::ViolationKind::kOutputClearance, 0, p.address,
-                         (name_ + ".tx").c_str());
+                         tx_where_.c_str());
       }
       tx_log_.push_back(static_cast<char>(p.data[0]));
       break;

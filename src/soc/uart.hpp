@@ -73,6 +73,7 @@ class Uart : public sysc::Module {
   void update_irq();
 
   tlmlite::TargetSocket tsock_;
+  const std::string tx_where_;  ///< clearance-check site name
   std::deque<std::uint8_t> rx_;
   std::string tx_log_;
   std::optional<dift::Tag> tx_clearance_;

@@ -2,8 +2,9 @@
 // self-modifying code (guest stores and host pokes must force a re-decode),
 // interrupts raised mid-block (taken at the next instruction boundary with an
 // exact mepc), trace equivalence between block execution and single-stepping,
-// code above the old 256 KiB decode-cache window, and the attribution of
-// fetch-path shadow-summary hits.
+// code above the old 256 KiB decode-cache window, the attribution of
+// fetch-path shadow-summary hits, and the MMIO path (bus stores stay in their
+// block; DMA into code is caught on block entry).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +15,8 @@
 #include "rv/trace.hpp"
 #include "soc/addrmap.hpp"
 #include "soc/clint.hpp"
+#include "soc/dma.hpp"
+#include "vp/vp.hpp"
 
 namespace {
 
@@ -336,26 +339,64 @@ TEST(BlockEngine, LiveTaintDisablesPlainVariantUntilCleared) {
   EXPECT_EQ(s.tainted_variant_hits, tainted_before);
 }
 
-// CPU + two memories: the DMI-backed RAM (clean) plus a second tainted
-// memory reachable only over the bus — the source of mid-block taint.
-struct TaintIoVm {
+// Two tainted registers: the gate remembers the one its last rescan found
+// (x8 here, the lowest) and tests it first. Clearing that one alone must
+// not bring the plain variant back while the other is still tainted;
+// clearing both must.
+TEST(BlockEngine, ClearingRememberedTaintedRegisterKeepsDispatchTainted) {
+  TaintVm vm;
+  rvasm::Assembler a(TaintVm::kBase);
+  a.label("top");
+  a.addi(a0, a0, 1);
+  a.j("top");
+  vm.load(a.assemble());
+  using Ops = rv::WordOps<rv::TaintedWord>;
+  vm.core.set_reg(s0, Ops::make(5, dift::Tag{1}));
+  vm.core.set_reg(s1, Ops::make(6, dift::Tag{1}));
+  const auto& s = vm.core.stats();
+
+  vm.core.run(20);
+  EXPECT_EQ(s.plain_variant_hits, 0u);
+  const auto tainted_both = s.tainted_variant_hits;
+  EXPECT_GT(tainted_both, 0u);
+
+  vm.core.set_reg(s0, Ops::make(5, dift::kBottomTag));  // the remembered one
+  vm.core.run(20);
+  EXPECT_EQ(s.plain_variant_hits, 0u);
+  EXPECT_GT(s.tainted_variant_hits, tainted_both);
+
+  vm.core.set_reg(s1, Ops::make(6, dift::kBottomTag));
+  const auto tainted_one = s.tainted_variant_hits;
+  vm.core.run(20);
+  EXPECT_GT(s.plain_variant_hits, 0u);
+  EXPECT_EQ(s.tainted_variant_hits, tainted_one);
+  EXPECT_EQ(vm.reg(a0), 30u);
+}
+
+// CPU + two memories: the DMI-backed RAM (clean) plus a second memory
+// reachable only over the bus — MMIO, and on the VP+ the source of
+// mid-block taint.
+template <typename W>
+struct IoVm {
   static constexpr std::uint64_t kBase = 0x80000000ull;
   static constexpr std::uint64_t kIoBase = 0x90000000ull;
 
   sysc::Simulation sim;
   tlmlite::Bus bus{sim, "bus"};
-  soc::Memory ram{sim, "ram", 64 * 1024, true};
-  soc::Memory io{sim, "io", 4 * 1024, true};
-  rv::Core<rv::TaintedWord> core;
+  soc::Memory ram{sim, "ram", 64 * 1024, rv::WordOps<W>::kTainted};
+  soc::Memory io{sim, "io", 4 * 1024, rv::WordOps<W>::kTainted};
+  rv::Core<W> core;
 
-  TaintIoVm() {
+  IoVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(kIoBase, io.size(), io.socket(), "io");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.data(), ram.tags(), kBase, ram.size(), &ram.shadow());
+    core.set_dmi(ram.data(), ram.tags(), kBase, ram.size(),
+                 ram.tags() ? &ram.shadow() : nullptr);
     core.set_pc(kBase);
   }
 };
+using TaintIoVm = IoVm<rv::TaintedWord>;
 
 // The promotion edge: a block starts on the plain variant, then a bus load
 // pulls in a tagged word mid-block. The plain variant must fall back BEFORE
@@ -385,6 +426,98 @@ TEST(BlockEngine, MidBlockTaintedLoadPromotesBeforeNextOp) {
   EXPECT_GE(s.variant_promotions, 1u);
   EXPECT_GT(s.plain_variant_hits, 0u);
   EXPECT_GT(s.tainted_variant_hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// MMIO path: bus stores do not end the block.
+// ---------------------------------------------------------------------------
+
+// simple-sensor's copy loop shape: MMIO byte load, MMIO byte store, two ALU
+// ops and the loop branch. The store cannot change code before the quantum
+// ends, so each iteration is one dispatch (the taken bnez is the only exit).
+template <typename W>
+std::uint64_t mmio_copy_loop_dispatches() {
+  constexpr std::int64_t kIters = 100;
+  IoVm<W> vm;
+  for (std::uint32_t i = 0; i < kIters; ++i)
+    vm.io.write_u32(std::size_t{i} * 4, 0x40 + i);  // only the low byte is copied
+  rvasm::Assembler a(IoVm<W>::kBase);
+  a.li(t0, static_cast<std::int64_t>(IoVm<W>::kIoBase));
+  a.li(t1, static_cast<std::int64_t>(IoVm<W>::kIoBase + 0x800));
+  a.li(s0, kIters);
+  a.label("loop");
+  a.lbu(a1, t0, 0);   // MMIO load
+  a.sb(a1, t1, 0);    // MMIO store: stays in the block
+  a.addi(t0, t0, 4);
+  a.addi(t1, t1, 1);
+  a.addi(s0, s0, -1);
+  a.bnez(s0, "loop");
+  a.label("spin");
+  a.j("spin");
+  const auto p = a.assemble();
+  vm.ram.load_image(p, IoVm<W>::kBase);
+  const std::uint64_t setup = (p.symbol("loop") - IoVm<W>::kBase) / 4;
+  vm.core.run(setup + kIters * 6);  // stop as the last iteration retires
+  EXPECT_EQ(rv::WordOps<W>::value(vm.core.reg(s0)), 0u);
+  for (std::uint32_t i = 0; i < kIters; ++i)
+    EXPECT_EQ(vm.io.data()[0x800 + i], 0x40 + i) << i;
+  const auto& s = vm.core.stats();
+  EXPECT_EQ(s.block_invalidations, 0u);
+  return s.block_hits + s.block_misses + s.chained_transfers;
+}
+
+TEST(BlockEngine, MmioCopyLoopIsOneDispatchPerIteration) {
+  // Iteration 1 runs in the set-up block; 2..100 enter the loop block (one
+  // miss, then its self-chain). A block ended by every MMIO store would
+  // take 200.
+  EXPECT_EQ(mmio_copy_loop_dispatches<rv::PlainWord>(), 100u);
+  EXPECT_EQ(mmio_copy_loop_dispatches<rv::TaintedWord>(), 100u);
+}
+
+// DMA copies a new body over a function that already ran (and whose block
+// is cached and chained). The copy runs in the DMA thread after the CPU
+// yields its quantum; polling the status register and calling the function
+// again must run the new bytes, caught by the raw-byte revalidation.
+template <typename W>
+void dma_patch_runs_new_body() {
+  namespace am = soc::addrmap;
+  rvasm::Assembler a(am::kRamBase);
+  a.call("fn");
+  a.mv(s2, a0);  // original body: a0 = 1
+  a.li(t0, static_cast<std::int64_t>(am::kDmaBase));
+  a.la(t1, "new_body");
+  a.sw(t1, t0, static_cast<std::int32_t>(soc::Dma::kSrc));
+  a.la(t1, "fn");
+  a.sw(t1, t0, static_cast<std::int32_t>(soc::Dma::kDst));
+  a.li(t1, 4);
+  a.sw(t1, t0, static_cast<std::int32_t>(soc::Dma::kLen));
+  a.li(t1, 1);
+  a.sw(t1, t0, static_cast<std::int32_t>(soc::Dma::kCtrl));
+  a.label("poll");
+  a.lw(t1, t0, static_cast<std::int32_t>(soc::Dma::kStatus));
+  a.andi(t1, t1, 2);  // done
+  a.beqz(t1, "poll");
+  a.call("fn");
+  a.mv(s3, a0);  // DMA'd body: a0 = 99
+  a.label("spin");
+  a.j("spin");
+  a.label("fn");
+  a.addi(a0, zero, 1);
+  a.ret();
+  a.label("new_body");
+  a.addi(a0, zero, 99);
+
+  vp::VirtualPrototype<W> v;
+  v.load(a.assemble());
+  (void)v.run(sysc::Time::ms(1));
+  EXPECT_EQ(rv::WordOps<W>::value(v.core().reg(s2)), 1u);
+  EXPECT_EQ(rv::WordOps<W>::value(v.core().reg(s3)), 99u);
+  EXPECT_GE(v.core().stats().block_invalidations, 1u);
+}
+
+TEST(BlockEngine, DmaIntoExecutedFunctionRunsNewBytes) {
+  dma_patch_runs_new_body<rv::PlainWord>();
+  dma_patch_runs_new_body<rv::TaintedWord>();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "soc/addrmap.hpp"
 #include "sysc/kernel.hpp"
 #include "tlmlite/bus.hpp"
 #include "tlmlite/payload.hpp"
@@ -181,6 +185,141 @@ TEST_F(BusTest, TargetSocketRoutesLikeTransport) {
   bus_.target_socket().b_transport(p, d);
   EXPECT_TRUE(p.ok());
   EXPECT_EQ(b_.last_address, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Slot-table routing: one 16 MiB slot per table entry, scan fallback for
+// shared slots and addresses at or above 4 GiB.
+// ---------------------------------------------------------------------------
+
+/// Accepts any access and records the rebased address it saw.
+struct SinkTarget {
+  TargetSocket socket;
+  std::uint64_t last_address = ~0ull;
+  SinkTarget() {
+    socket.register_transport([this](Payload& p, sysc::Time&) {
+      last_address = p.address;
+      p.response = Response::kOk;
+    });
+  }
+};
+
+class BusRoutingTest : public ::testing::Test {
+ protected:
+  struct Mapped {
+    std::string name;
+    std::uint64_t base, size;
+    std::unique_ptr<SinkTarget> target;
+  };
+
+  sysc::Simulation sim_;
+  Bus bus_{sim_, "bus0"};
+  std::vector<Mapped> mapped_;
+
+  void map(std::uint64_t base, std::uint64_t size, const std::string& name) {
+    mapped_.push_back({name, base, size, std::make_unique<SinkTarget>()});
+    bus_.map(base, size, mapped_.back().target->socket, name);
+  }
+
+  /// One-byte read at `address`: the port that served it, or "" on
+  /// kAddressError. Checks the rebase against the serving mapping.
+  std::string access(std::uint64_t address) {
+    for (auto& m : mapped_) m.target->last_address = ~0ull;
+    std::uint8_t byte = 0;
+    Payload p;
+    p.command = Command::kRead;
+    p.address = address;
+    p.data = &byte;
+    p.length = 1;
+    sysc::Time d;
+    bus_.transport(p, d);
+    EXPECT_EQ(p.address, address);  // restored for the initiator
+    if (p.response == Response::kAddressError) return "";
+    EXPECT_TRUE(p.ok());
+    for (const auto& m : mapped_)
+      if (m.target->last_address != ~0ull) {
+        EXPECT_EQ(m.target->last_address, address - m.base) << m.name;
+        return m.name;
+      }
+    ADD_FAILURE() << "no target saw " << std::hex << address;
+    return "";
+  }
+
+  /// Every mapping's first and last byte routes to it, and the bytes just
+  /// outside it route elsewhere or fail; port_at agrees with transport on
+  /// each probe.
+  void check_edges() {
+    for (const auto& m : mapped_) {
+      const std::uint64_t last = m.base + m.size - 1;
+      EXPECT_EQ(access(m.base), m.name);
+      EXPECT_EQ(access(last), m.name);
+      EXPECT_NE(access(last + 1), m.name);
+      EXPECT_NE(access(m.base - 1), m.name);
+      for (const std::uint64_t a : {m.base - 1, m.base, last, last + 1})
+        EXPECT_EQ(bus_.port_at(a), access(a)) << std::hex << a;
+    }
+  }
+};
+
+TEST_F(BusRoutingTest, VpAddressMapEdgesAndGaps) {
+  namespace am = soc::addrmap;
+  map(am::kRamBase, 4u << 20, "ram0");
+  map(am::kClintBase, am::kClintSize, "clint0");
+  map(am::kPlicBase, am::kPlicSize, "plic0");
+  map(am::kUartBase, am::kUartSize, "uart0");
+  map(am::kSysCtrlBase, am::kSysCtrlSize, "sysctrl0");
+  map(am::kSensorBase, am::kSensorSize, "sensor0");
+  map(am::kAesBase, am::kAesSize, "aes0");
+  map(am::kCanBase, am::kCanSize, "can0");
+  map(am::kDmaBase, am::kDmaSize, "dma0");
+  map(am::kGpioBase, am::kGpioSize, "gpio0");
+  map(am::kWdtBase, am::kWdtSize, "wdt0");
+  map(am::kFlashBase, 0x1234, "flash0");
+  check_edges();
+  // Gaps: past each peripheral's window inside its slot, empty slots, and
+  // past the end of RAM.
+  EXPECT_EQ(access(am::kRamBase + (4u << 20)), "");
+  EXPECT_EQ(access(am::kCanBase + am::kCanSize), "");
+  EXPECT_EQ(access(am::kSensorBase + 0xffffff), "");
+  EXPECT_EQ(access(0x0), "");
+  EXPECT_EQ(access(0x40000000), "");
+  EXPECT_EQ(access(0xffffffff), "");
+  EXPECT_EQ(bus_.port_at(0x40000000), "");
+}
+
+TEST_F(BusRoutingTest, TwoRangesInOneSlot) {
+  map(0x10000000, 0x100, "lo");
+  map(0x10800000, 0x100, "hi");
+  check_edges();
+  EXPECT_EQ(access(0x10000100), "");  // gap between them, same slot
+  EXPECT_EQ(access(0x107fffff), "");
+  EXPECT_EQ(access(0x10ffffff), "");
+}
+
+TEST_F(BusRoutingTest, RangeSpanningSeveralSlots) {
+  // 40 MiB from 0x20000000: whole slots 0x20 and 0x21, half of 0x22, which
+  // it shares with a second range.
+  map(0x20000000, 40u << 20, "big");
+  map(0x22900000, 0x1000, "tail");
+  map(0x23000000, 0x10, "next");
+  check_edges();
+  EXPECT_EQ(access(0x21abcdef), "big");
+  EXPECT_EQ(access(0x22800000), "");
+  EXPECT_EQ(access(0x1fffffff), "");
+}
+
+TEST_F(BusRoutingTest, MappingsAndAccessesAbove4GiB) {
+  map(0xffffff00, 0x200, "straddle");  // last slot and past 4 GiB
+  map(0x200000000, 0x100, "high");
+  map(0x80000000, 0x100, "low");
+  check_edges();
+  EXPECT_EQ(access(0x100000000), "straddle");
+  EXPECT_EQ(access(0x1000000ff), "straddle");
+  EXPECT_EQ(access(0x100000100), "");
+  EXPECT_EQ(access(0x180000000), "");  // slot 0x80 of the next 4 GiB
+  EXPECT_EQ(access(0x2000000ff), "high");
+  EXPECT_EQ(bus_.port_at(0x200000010), "high");
+  EXPECT_EQ(bus_.port_at(0x180000010), "");
 }
 
 }  // namespace
