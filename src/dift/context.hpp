@@ -108,18 +108,6 @@ inline bool allowed_flow(Tag from, Tag to) {
   return t.flow[static_cast<std::size_t>(from) * t.n + to] != 0;
 }
 
-/// Non-counting variant of allowed_flow() for *memoisable* answers: the
-/// core's taint-liveness gate asks "would bottom-tagged data clear this
-/// clearance?" once per memo establishment, not per instruction, so the
-/// query must not perturb the flow_checks ledger (warm-vs-cold and
-/// fork-vs-replay runs compare it bit-for-bit). Returns false when no
-/// context is active — the caller then stays on the always-correct path.
-inline bool allowed_flow_peek(Tag from, Tag to) {
-  if (from == to) return true;
-  auto& t = detail::g_active;
-  return t.flow && t.flow[static_cast<std::size_t>(from) * t.n + to] != 0;
-}
-
 /// Set by the CPU before it drives a bus transaction so that clearance
 /// checks raised inside peripherals can attribute the violation to the
 /// offending instruction.

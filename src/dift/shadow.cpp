@@ -7,7 +7,6 @@ void ShadowSummary::attach(Tag* tags, std::size_t size, bool known_bottom) {
   size_ = tags ? size : 0;
   blocks_.assign(tags ? (size_ + kBlockBytes - 1) >> kBlockShift : 0, 0);
   live_blocks_ = 0;
-  ++generation_;
   if (tags_ && !known_bottom) rebuild();
 }
 

@@ -18,9 +18,9 @@
 // a plane written wholesale. The summary is conservative — kMixed is always
 // safe — but a uniform summary must never disagree with the plane.
 //
-// A generation counter bumps on every summary change; the core memoises
-// "this fetch block is uniform and cleared for execution" against it, which
-// reduces the per-instruction fetch-clearance check to four compares.
+// The core's block engine asks uniform() once per tainted block dispatch:
+// a uniformly tagged span whose tag is cleared for fetch runs without
+// per-instruction fetch checks.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +48,6 @@ class ShadowSummary {
 
   std::size_t block_count() const { return blocks_.size(); }
   std::uint16_t block_summary(std::size_t block) const { return blocks_[block]; }
-  std::uint64_t generation() const { return generation_; }
 
   /// Number of blocks whose summary is not uniformly kBottomTag (kMixed
   /// counts: a mixed block necessarily holds a non-bottom byte). Maintained
@@ -122,14 +121,12 @@ class ShadowSummary {
     if (old != s) {
       live_blocks_ += std::size_t(s != 0) - std::size_t(old != 0);
       blocks_[b] = s;
-      ++generation_;
     }
   }
 
   Tag* tags_ = nullptr;
   std::size_t size_ = 0;
   std::vector<std::uint16_t> blocks_;
-  std::uint64_t generation_ = 0;
   std::size_t live_blocks_ = 0;
 };
 

@@ -26,10 +26,10 @@ namespace {
 /// violations). No tainted bytes at fire time = the fault is masked.
 ///
 /// The corruption goes through the coherence contract — plane write, then
-/// on_store() — so the engine's fetch memo and summary fast paths observe
-/// the corrupted tags exactly like DIFT hardware would observe a real
-/// shadow-memory bit error. The shadow summary also keeps the scans cheap:
-/// blocks summarised as uniform kBottomTag (summary 0) are skipped.
+/// on_store() — so the engine's fetch-clearance check and summary fast
+/// paths observe the corrupted tags exactly like DIFT hardware would observe
+/// a real shadow-memory bit error. The shadow summary also keeps the scans
+/// cheap: blocks summarised as uniform kBottomTag (summary 0) are skipped.
 void corrupt_tags(vp::VpDift& v, const FaultSpec& f, std::uint32_t pc) {
   soc::Memory& mem = v.ram();
   dift::Tag* tags = mem.tags();

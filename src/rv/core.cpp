@@ -416,29 +416,24 @@ void Core<W>::set_dmi(std::uint8_t* data, Tag* tags, std::uint64_t base,
 }
 
 template <typename W>
-void Core<W>::wipe_fetch_memos() {
-  for (auto& up : blocks_) {
-    if (!up) continue;
-    up->fetch_memo = false;
-    up->fetch_gen = ~std::uint64_t{0};
-    up->fetch_flow = nullptr;
-  }
-}
-
-template <typename W>
 void Core<W>::set_policy(const dift::SecurityPolicy* policy) {
   policy_ = policy;
   exec_ = policy ? policy->execution_clearance() : dift::ExecutionClearance{};
   has_store_prot_ = policy && !policy->store_protection().empty();
-  // Translations themselves are policy-independent (handler pointers are
-  // fixed per instantiation); only the per-block fetch memos and the
-  // plain-state clearance memo bind to a policy's flow table. Wiping those
-  // instead of the whole cache keeps warm translations valid across a
-  // campaign re-arm (reset + load_firmware + apply_policy) and closes the
-  // pointer-reuse ABA a new lattice allocated at a freed table's address
-  // would otherwise open.
-  wipe_fetch_memos();
-  plain_ok_valid_ = false;
+  // Does every clearance admit ⊥-tagged execution? Asked of the policy's
+  // lattice, the one VirtualPrototype::run() makes active, so the answer is
+  // fixed here and costs the dispatch loop nothing. Translations are
+  // policy-independent and stay warm across a campaign re-arm.
+  plain_ok_ = true;
+  if (policy) {
+    const auto admits_bottom = [&](std::optional<Tag> c) {
+      return !c || policy->lattice().allowed_flow(dift::kBottomTag, *c);
+    };
+    plain_ok_ = admits_bottom(exec_.fetch) && admits_bottom(exec_.branch) &&
+                admits_bottom(exec_.mem_addr);
+    for (const auto& mc : policy->store_protection())
+      plain_ok_ = plain_ok_ && admits_bottom(mc.tag);
+  }
 }
 
 template <typename W>
@@ -453,7 +448,6 @@ void Core<W>::reset(std::uint32_t reset_pc, bool keep_translations) {
   reg_tag_or_ = dift::kBottomTag;
   taint_break_ = false;
   if (keep_translations) {
-    wipe_fetch_memos();
     cur_block_lo_ = cur_block_hi_ = 0;
     smc_break_ = false;
   } else {
@@ -577,27 +571,6 @@ void Core<W>::transport_with_pc(tlmlite::Payload& p, sysc::Time& delay) {
 }
 
 template <typename W>
-auto Core<W>::fetch32(std::uint32_t addr) -> MemAccess {
-  if (dmi_covers(addr, 4)) {
-    const std::uint64_t off = addr - dmi_base_;
-    std::uint32_t value;
-    std::memcpy(&value, dmi_data_ + off, 4);  // host is little-endian
-    Tag tag = dift::kBottomTag;
-    if constexpr (kTainted) {
-      if (shadow_ && shadow_->uniform(off, 4, &tag)) {
-        ++stats_.fetch_summary_hits;  // fetch-path attribution
-      } else {
-        tag = dmi_tags_[off];
-        for (std::uint32_t i = 1; i < 4; ++i)
-          tag = dift::lub(tag, dmi_tags_[off + i]);
-      }
-    }
-    return {value, tag, false};
-  }
-  return load(addr, 4, false);
-}
-
-template <typename W>
 void Core<W>::take_trap(std::uint32_t cause, std::uint32_t tval) {
   trapped_ = true;
   auto& s = csrs_;
@@ -712,7 +685,6 @@ void Core<W>::build_into(Block& b, std::uint64_t off) {
   b.start_off = off;
   b.chain = nullptr;
   b.chain_off = ~std::uint64_t{0};
-  b.fetch_memo = false;
   b.ops.clear();
   std::uint64_t cur = off;
   // A full 32-bit parcel must be readable even for a 16-bit instruction
@@ -770,31 +742,6 @@ auto Core<W>::lookup_block(std::uint64_t off, bool& fresh) -> Block* {
 // ---------------------------------------------------------------------------
 
 template <typename W>
-bool Core<W>::plain_clearances_ok() {
-  // Memoised against the active flow table: does every execution clearance
-  // and store protection admit ⊥-tagged execution? Evaluated with the
-  // non-counting peek so gate queries never perturb the flow_checks ledger
-  // (elided checks are exactly the always-allowed ones, so enforcement and
-  // monitor records are unchanged). set_policy() invalidates the memo.
-  const std::uint8_t* flow = dift::detail::g_active.flow;
-  if (!plain_ok_valid_ || plain_ok_flow_ != flow) {
-    bool ok = true;
-    if (exec_.fetch) ok = ok && dift::allowed_flow_peek(dift::kBottomTag, *exec_.fetch);
-    if (exec_.branch) ok = ok && dift::allowed_flow_peek(dift::kBottomTag, *exec_.branch);
-    if (exec_.mem_addr)
-      ok = ok && dift::allowed_flow_peek(dift::kBottomTag, *exec_.mem_addr);
-    if (policy_) {
-      for (const auto& mc : policy_->store_protection())
-        ok = ok && dift::allowed_flow_peek(dift::kBottomTag, mc.tag);
-    }
-    plain_ok_ = ok;
-    plain_ok_flow_ = flow;
-    plain_ok_valid_ = true;
-  }
-  return plain_ok_;
-}
-
-template <typename W>
 bool Core<W>::plain_state() {
   // Pure function of architectural state (the sticky reg_tag_or_ bit is
   // re-verified against the registers before it can disable the plain
@@ -816,181 +763,142 @@ bool Core<W>::plain_state() {
       }
       reg_tag_or_ = dift::kBottomTag;
     }
-    return plain_clearances_ok();
+    return plain_ok_;
   }
 }
 
 template <typename W>
-std::uint64_t Core<W>::exec_block(Block& b, std::uint64_t budget, bool fresh,
-                                  bool plain) {
-  if constexpr (kTainted) {
-    if (plain) {
-      // Plain variant: plain_state() proved the whole plane ⊥ and every
-      // clearance admits ⊥-tagged execution, so the block is cleared for
-      // fetch by construction (span uniformly ⊥) and the fetch memo is
-      // neither consulted nor established. Handlers run with zero tag
-      // work; a bus load that introduces taint raises taint_break_ so the
-      // next op re-dispatches on the tainted variant.
-      const auto np = static_cast<std::size_t>(
-          std::min<std::uint64_t>(b.ops.size(), budget));
-      cur_block_lo_ = b.start_off;
-      cur_block_hi_ = b.start_off + b.byte_len;
-      smc_break_ = false;
-      taint_break_ = false;
-      const MicroOp* pops = b.ops.data();
-      std::uint64_t pdone = 0;
-      try {
-        while (pdone < np) {
-          const MicroOp& op = pops[pdone];
-          const std::uint32_t seq = pc_ + op.insn.len;
-          next_pc_ = seq;
-          trapped_ = false;
-          op.fast(*this, op.insn);
-          pc_ = next_pc_;
-          ++instret_;
-          ++pdone;
-          if (trapped_) break;
-          if (op.cf && pc_ != seq) break;  // taken branch left the block
-          if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_ ||
-                         taint_break_))
-            break;
-        }
-        if (!fresh) stats_.decode_hits += pdone;
-        if (exec_.fetch) stats_.fetch_summary_hits += pdone;
-      } catch (...) {
-        if (!fresh) stats_.decode_hits += pdone + 1;
-        if (exec_.fetch) stats_.fetch_summary_hits += pdone + 1;
-        cur_block_lo_ = cur_block_hi_ = 0;
-        throw;
-      }
-      cur_block_lo_ = cur_block_hi_ = 0;
-      return pdone;
+template <bool PLAIN>
+std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n, bool fresh) {
+  // No per-instruction fetch checks, no trace test. Loads and stores can
+  // raise interrupts synchronously (CLINT) or modify code, so they re-test
+  // the block-exit conditions; a PLAIN bus load that introduced taint also
+  // ends the block (taint_break_) so the next op re-dispatches tainted.
+  const auto retire = [&](std::uint64_t k) {
+    if (!fresh) stats_.decode_hits += k;
+    if constexpr (kTainted) {
+      if (exec_.fetch) stats_.fetch_summary_hits += k;
     }
+  };
+  cur_block_lo_ = b.start_off;
+  cur_block_hi_ = b.start_off + b.byte_len;
+  smc_break_ = false;
+  if constexpr (PLAIN) taint_break_ = false;
+  const MicroOp* ops = b.ops.data();
+  std::uint64_t done = 0;
+  try {
+    while (done < n) {
+      const MicroOp& op = ops[done];
+      const std::uint32_t seq = pc_ + op.insn.len;
+      next_pc_ = seq;
+      trapped_ = false;
+      (PLAIN ? op.fast : op.fn)(*this, op.insn);
+      pc_ = next_pc_;
+      ++instret_;
+      ++done;
+      if (trapped_) break;
+      if (op.cf && pc_ != seq) break;  // taken branch left the block
+      if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_ ||
+                     (PLAIN && taint_break_)))
+        break;
+    }
+  } catch (...) {
+    // Enforcement violation inside a handler: the instruction was fetched
+    // and decoded but did not retire — count it like the per-insn engine.
+    retire(done + 1);
+    cur_block_lo_ = cur_block_hi_ = 0;
+    throw;
+  }
+  retire(done);
+  cur_block_lo_ = cur_block_hi_ = 0;
+  return done;
+}
+
+template <typename W>
+std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
+                                  bool fresh, bool plain) {
+  const auto n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(b.ops.size(), budget));
+  // Plain variant: plain_state() proved the whole plane ⊥ and every
+  // clearance admits ⊥, so the block is cleared for fetch by construction.
+  if constexpr (kTainted) {
+    if (plain) return exec_cleared<true>(b, n, fresh);
   } else {
     (void)plain;  // the plain instantiation has no variant split
   }
 
-  // One fetch-clearance check covering the whole block span (the old
-  // per-instruction memo generalized): if the span is uniformly tagged and
-  // the flow is allowed, memoise and skip per-instruction checks entirely.
+  // One fetch-clearance check covering the whole block span: a uniformly
+  // tagged span whose tag may flow to the clearance skips the
+  // per-instruction checks.
   bool cleared = true;
   if constexpr (kTainted) {
     if (exec_.fetch) {
-      cleared = false;
-      if (b.fetch_memo && shadow_ && b.fetch_gen == shadow_->generation() &&
-          b.fetch_flow == dift::detail::g_active.flow &&
-          b.fetch_clearance == *exec_.fetch) {
-        cleared = true;
-      } else {
-        Tag tag = dift::kBottomTag;
-        if (shadow_ && shadow_->uniform(b.start_off, b.byte_len, &tag) &&
-            dift::allowed_flow(tag, *exec_.fetch)) {
-          b.fetch_memo = true;
-          b.fetch_gen = shadow_->generation();
-          b.fetch_flow = dift::detail::g_active.flow;
-          b.fetch_clearance = *exec_.fetch;
-          cleared = true;
-        }
-      }
+      Tag tag = dift::kBottomTag;
+      cleared = shadow_ && shadow_->uniform(b.start_off, b.byte_len, &tag) &&
+                dift::allowed_flow(tag, *exec_.fetch);
     }
   }
+  if (cleared && !trace_) return exec_cleared<false>(b, n, fresh);
 
-  const auto n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(b.ops.size(), budget));
+  // Careful path: trace attached, or the block span is not uniformly
+  // cleared for fetch — fall back to exact per-instruction checks so
+  // violation pcs and monitor-mode records match single-step execution.
   cur_block_lo_ = b.start_off;
   cur_block_hi_ = b.start_off + b.byte_len;
   smc_break_ = false;
   const MicroOp* ops = b.ops.data();
   std::uint64_t done = 0;
-
-  if (cleared && !trace_) {
-    // Fast path: no per-instruction fetch checks, no trace test. Loads and
-    // stores can raise interrupts synchronously (CLINT) or modify code, so
-    // they re-test the block-exit conditions.
-    try {
-      while (done < n) {
-        const MicroOp& op = ops[done];
-        const std::uint32_t seq = pc_ + op.insn.len;
-        next_pc_ = seq;
-        trapped_ = false;
-        op.fn(*this, op.insn);
-        pc_ = next_pc_;
-        ++instret_;
-        ++done;
-        if (trapped_) break;
-        if (op.cf && pc_ != seq) break;  // taken branch left the block
-        if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_)) break;
-      }
-      if (!fresh) stats_.decode_hits += done;
+  try {
+    while (done < n) {
+      const MicroOp& op = ops[done];
+      if (!fresh) ++stats_.decode_hits;
       if constexpr (kTainted) {
-        if (exec_.fetch) stats_.fetch_summary_hits += done;
-      }
-    } catch (...) {
-      // Enforcement violation inside a handler: the instruction was fetched
-      // and decoded but did not retire — count it like the per-insn engine.
-      if (!fresh) stats_.decode_hits += done + 1;
-      if constexpr (kTainted) {
-        if (exec_.fetch) stats_.fetch_summary_hits += done + 1;
-      }
-      cur_block_lo_ = cur_block_hi_ = 0;
-      throw;
-    }
-  } else {
-    // Careful path: trace attached, or the block span is not uniformly
-    // cleared for fetch — fall back to exact per-instruction checks so
-    // violation pcs and monitor-mode records match single-step execution.
-    try {
-      while (done < n) {
-        const MicroOp& op = ops[done];
-        if (!fresh) ++stats_.decode_hits;
-        if constexpr (kTainted) {
-          if (exec_.fetch) {
-            if (cleared) {
+        if (exec_.fetch) {
+          if (cleared) {
+            ++stats_.fetch_summary_hits;
+          } else {
+            const std::uint64_t off = std::uint64_t(pc_) - dmi_base_;
+            const std::uint64_t blk = off >> dift::ShadowSummary::kBlockShift;
+            const bool one_block =
+                ((off + op.insn.len - 1) >> dift::ShadowSummary::kBlockShift) == blk;
+            Tag tag = dift::kBottomTag;
+            const bool uniform =
+                shadow_ && one_block && shadow_->uniform(off, op.insn.len, &tag);
+            if (!uniform) {
+              tag = dmi_tags_[off];
+              for (std::uint32_t i = 1; i < op.insn.len; ++i)
+                tag = dift::lub(tag, dmi_tags_[off + i]);
+            }
+            if (uniform && dift::allowed_flow(tag, *exec_.fetch)) {
               ++stats_.fetch_summary_hits;
             } else {
-              const std::uint64_t off = std::uint64_t(pc_) - dmi_base_;
-              const std::uint64_t blk = off >> dift::ShadowSummary::kBlockShift;
-              const bool one_block =
-                  ((off + op.insn.len - 1) >> dift::ShadowSummary::kBlockShift) == blk;
-              Tag tag = dift::kBottomTag;
-              const bool uniform =
-                  shadow_ && one_block && shadow_->uniform(off, op.insn.len, &tag);
-              if (!uniform) {
-                tag = dmi_tags_[off];
-                for (std::uint32_t i = 1; i < op.insn.len; ++i)
-                  tag = dift::lub(tag, dmi_tags_[off + i]);
-              }
-              if (uniform && dift::allowed_flow(tag, *exec_.fetch)) {
-                ++stats_.fetch_summary_hits;
-              } else {
-                dift::check_flow(tag, *exec_.fetch, ViolationKind::kFetchClearance,
-                                 pc_, pc_, "core.fetch");
-              }
+              dift::check_flow(tag, *exec_.fetch, ViolationKind::kFetchClearance,
+                               pc_, pc_, "core.fetch");
             }
           }
         }
-        const std::uint32_t seq = pc_ + op.insn.len;
-        next_pc_ = seq;
-        trapped_ = false;
-        op.fn(*this, op.insn);
-        if (trace_) {
-          // A trapping instruction never wrote rd; record x0 (0, untainted)
-          // instead of the stale pre-trap register contents.
-          const std::uint8_t rd = trapped_ ? 0 : op.insn.rd;
-          trace_->push({instret_, pc_, op.insn.raw, rd, Ops::value(regs_[rd]),
-                        Ops::tag(regs_[rd])});
-        }
-        pc_ = next_pc_;
-        ++instret_;
-        ++done;
-        if (trapped_) break;
-        if (op.cf && pc_ != seq) break;  // taken branch left the block
-        if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_)) break;
       }
-    } catch (...) {
-      cur_block_lo_ = cur_block_hi_ = 0;
-      throw;
+      const std::uint32_t seq = pc_ + op.insn.len;
+      next_pc_ = seq;
+      trapped_ = false;
+      op.fn(*this, op.insn);
+      if (trace_) {
+        // A trapping instruction never wrote rd; record x0 (0, untainted)
+        // instead of the stale pre-trap register contents.
+        const std::uint8_t rd = trapped_ ? 0 : op.insn.rd;
+        trace_->push({instret_, pc_, op.insn.raw, rd, Ops::value(regs_[rd]),
+                      Ops::tag(regs_[rd])});
+      }
+      pc_ = next_pc_;
+      ++instret_;
+      ++done;
+      if (trapped_) break;
+      if (op.cf && pc_ != seq) break;  // taken branch left the block
+      if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_)) break;
     }
+  } catch (...) {
+    cur_block_lo_ = cur_block_hi_ = 0;
+    throw;
   }
   cur_block_lo_ = cur_block_hi_ = 0;
   return done;

@@ -154,10 +154,8 @@ class Core {
   /// `reset_pc`. Wiring (bus, DMI, policy, trace) is preserved.
   /// `keep_translations` keeps the translated blocks (and their chains)
   /// warm — sound only when the DMI code bytes are reloaded with identical
-  /// content (campaign re-arm with an unchanged firmware hash): translations
-  /// are content-keyed and revalidate against the raw bytes anyway, but the
-  /// per-block fetch memos bind to a policy's flow table and are wiped to
-  /// avoid pointer-reuse ABA across policies.
+  /// content (campaign re-arm with an unchanged firmware hash). Translations
+  /// hold no policy state and revalidate against the raw bytes anyway.
   void reset(std::uint32_t reset_pc, bool keep_translations = false);
 
   /// Checkpoint support: restores the retirement counter and WFI state
@@ -174,6 +172,7 @@ class Core {
   /// snapshots these around run() to report per-run deltas.
   const dift::DiftStats& stats() const { return stats_; }
 
+ private:
   /// Result of a data/fetch memory access.
   struct MemAccess {
     std::uint32_t value;
@@ -181,12 +180,6 @@ class Core {
     bool fault;
   };
 
-  /// Fetch-path read of one 32-bit parcel. Shadow-summary hits on the DMI
-  /// window count as `fetch_summary_hits` (fetch-path attribution), unlike
-  /// load(), whose hits count as `load_summary_hits`.
-  MemAccess fetch32(std::uint32_t addr);
-
- private:
   friend struct CoreOps<W>;
   /// Handler signature for one decoded instruction: executes the operation,
   /// leaving `next_pc_` at the successor pc (handlers of control-flow ops
@@ -214,21 +207,14 @@ class Core {
   /// next micro-op when not taken and exit the block when taken, which keeps
   /// branch-dense inner loops in one block instead of fragmenting them.
   /// `raw` snapshots the encoded bytes; a byte compare on entry revalidates
-  /// against self-modifying code. `chain` caches the successor block reached last time the block ran
-  /// to completion. The fetch memo generalizes the old single-shadow-block
-  /// memo to the whole block span: while the shadow generation, flow table
-  /// and clearance are unchanged, fetching this block is known to be allowed.
-  /// Only successful (allowed) checks are memoised, so enforcement throws and
-  /// monitor-mode records are never suppressed.
+  /// against self-modifying code. `chain` caches the successor block reached
+  /// last time the block ran. A block holds no policy or tag state: its
+  /// fetch clearance is decided afresh on every dispatch (exec_block).
   struct Block {
     std::uint64_t start_off = 0;  ///< DMI offset of the block head
     std::uint32_t byte_len = 0;
     Block* chain = nullptr;
     std::uint64_t chain_off = ~std::uint64_t{0};
-    std::uint64_t fetch_gen = ~std::uint64_t{0};
-    const std::uint8_t* fetch_flow = nullptr;
-    dift::Tag fetch_clearance{};
-    bool fetch_memo = false;
     std::vector<MicroOp> ops;
     std::vector<std::uint8_t> raw;
   };
@@ -266,14 +252,17 @@ class Core {
 
   Block* lookup_block(std::uint64_t off, bool& fresh);
   void build_into(Block& b, std::uint64_t off);
-  std::uint64_t exec_block(Block& b, std::uint64_t budget, bool fresh,
+  std::uint64_t exec_block(const Block& b, std::uint64_t budget, bool fresh,
                            bool plain);
+  /// Runs the first `n` micro-ops of a block cleared for fetch, without
+  /// per-instruction checks: PLAIN runs the `fast` handlers and leaves on
+  /// `taint_break_`, otherwise the full `fn` handlers.
+  template <bool PLAIN>
+  std::uint64_t exec_cleared(const Block& b, std::size_t n, bool fresh);
   void step_slow();
 
   // Taint-liveness gate (see docs/perf.md).
   bool plain_state();
-  bool plain_clearances_ok();
-  void wipe_fetch_memos();
 
   dift::Tag combine(dift::Tag a, dift::Tag b) { return Ops::combine(a, b); }
   std::uint32_t rv(std::uint8_t r) const { return Ops::value(regs_[r]); }
@@ -341,15 +330,13 @@ class Core {
   // `taint_break_` is raised by a plain-variant handler whose result
   // introduced taint (tagged MMIO read / DMA side effect): the dispatch
   // loop leaves the plain loop before the next op so everything downstream
-  // runs with full tag semantics. The plain_ok_* memo caches "every
-  // execution clearance and store protection admits ⊥-tagged execution"
-  // against the active flow table (invalidated by set_policy()).
+  // runs with full tag semantics. `plain_ok_` answers "every execution
+  // clearance and store protection admits ⊥-tagged execution" under the
+  // policy's lattice; set_policy() fixes it.
   dift::Tag reg_tag_or_ = dift::kBottomTag;
   std::uint8_t reg_tag_hint_ = 0;
   bool taint_break_ = false;
-  const std::uint8_t* plain_ok_flow_ = nullptr;
-  bool plain_ok_ = false;
-  bool plain_ok_valid_ = false;
+  bool plain_ok_ = true;
 
   const dift::SecurityPolicy* policy_ = nullptr;
   dift::ExecutionClearance exec_;

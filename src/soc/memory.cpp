@@ -5,6 +5,9 @@
 #include <new>
 #include <stdexcept>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
@@ -17,15 +20,6 @@ constexpr std::size_t kPageShift = SparsePlane::kPageShift;
 bool all_zero(const std::uint8_t* p, std::size_t len) {
   alignas(64) static const std::uint8_t kZeroPage[kPageBytes] = {};
   return std::memcmp(p, kZeroPage, len) == 0;
-}
-
-/// calloc that throws: the planes stay untouched (and unbacked by physical
-/// pages) until a run writes them.
-template <typename T>
-T* zero_filled(std::size_t n) {
-  void* p = std::calloc(n, sizeof(T));
-  if (!p && n) throw std::bad_alloc();
-  return static_cast<T*>(p);
 }
 
 /// Writes `src`'s held pages over `plane` and zeroes every other page for
@@ -65,13 +59,35 @@ void SparsePlane::add_page(std::size_t page, const std::uint8_t* src) {
   std::memcpy(bytes_.data() + bytes_.size() - kPageBytes, src, len);
 }
 
+/// A zero-filled plane of `n` elements in an anonymous mapping of its own,
+/// followed by one PROT_NONE guard page, so an overrun past the plane's last
+/// page faults. The kernel backs a page only when a run first writes it,
+/// whatever state malloc is in: calloc serves a large plane from the heap,
+/// clearing reused memory, once malloc's dynamic mmap threshold has grown
+/// past the plane size, which the first free of a plane does.
+template <typename T>
+Memory::Plane<T> Memory::zero_filled(std::size_t n) {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t len = (n * sizeof(T) + page - 1) / page * page;
+  void* p = ::mmap(nullptr, len + page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  if (::mprotect(static_cast<std::uint8_t*>(p) + len, page, PROT_NONE) != 0) {
+    ::munmap(p, len + page);
+    throw std::bad_alloc();
+  }
+  return Plane<T>(static_cast<T*>(p), Unmap{len + page});
+}
+
+void Memory::Unmap::operator()(void* p) const { ::munmap(p, bytes); }
+
 Memory::Memory(sysc::Simulation& sim, std::string name, std::size_t size,
                bool track_tags)
     : Module(sim, std::move(name)),
       size_(size),
       data_(zero_filled<std::uint8_t>(size)) {
   if (track_tags) {
-    tags_.reset(zero_filled<dift::Tag>(size));
+    tags_ = zero_filled<dift::Tag>(size);
     shadow_.attach(tags_.get(), size_, /*known_bottom=*/true);
   }
   tsock_.register_transport(

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,9 +57,10 @@ class SparsePlane {
 };
 
 /// Byte-addressable RAM. In the DIFT build every byte carries a dift::Tag in
-/// a parallel plane; the plain VP allocates no tag storage at all. Both
-/// planes come zero-filled from the allocator, so RAM that a run never
-/// touches costs neither a memset nor a summary scan.
+/// a parallel plane; the plain VP allocates no tag storage at all. Each
+/// plane is an anonymous mapping of its own, zero-filled by the kernel and
+/// followed by a guard page, so RAM that a run never touches costs neither
+/// a memset, nor a summary scan, nor resident memory.
 class Memory : public sysc::Module {
  public:
   Memory(sysc::Simulation& sim, std::string name, std::size_t size, bool track_tags);
@@ -113,11 +113,15 @@ class Memory : public sysc::Module {
   std::uint64_t summary_hits() const { return summary_hits_; }
 
  private:
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
+  /// Owner of one plane's mapping (plane plus guard page).
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(void* p) const;
   };
   template <typename T>
-  using Plane = std::unique_ptr<T[], FreeDeleter>;
+  using Plane = std::unique_ptr<T[], Unmap>;
+  template <typename T>
+  static Plane<T> zero_filled(std::size_t n);
 
   void transport(tlmlite::Payload& p, sysc::Time& delay);
   /// Bytes of page `page` (the last page may be short).

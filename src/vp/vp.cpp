@@ -131,11 +131,10 @@ void VirtualPrototype<W>::reset(bool keep_translations) {
   // trap), pending fault trigger disarmed, policy detached, translation
   // cache dropped (the next image has different bytes) — unless the caller
   // promised byte-identical firmware, in which case the translations stay
-  // warm and only the policy-bound fetch memos are wiped.
+  // warm (they hold no policy state).
   core_.reset(am::kRamBase, keep_translations);
   core_.disarm_fault();
   core_.set_policy(nullptr);
-  if (!keep_translations) core_.invalidate_blocks();
   boot_pc_ = am::kRamBase;
 
   // Memory: zero data, bottom tags, coherent summaries.

@@ -2,14 +2,16 @@
 // self-modifying code (guest stores and host pokes must force a re-decode),
 // interrupts raised mid-block (taken at the next instruction boundary with an
 // exact mepc), trace equivalence between block execution and single-stepping,
-// code above the old 256 KiB decode-cache window, the attribution of
-// fetch-path shadow-summary hits, and the MMIO path (bus stores stay in their
-// block; DMA into code is caught on block entry).
+// code above the old 256 KiB decode-cache window, the fetch-clearance
+// decision per dispatch, and the MMIO path (bus stores stay in their block;
+// DMA into code is caught on block entry).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 
+#include "dift/context.hpp"
+#include "dift/policy_parser.hpp"
 #include "micro_vm.hpp"
 #include "rv/csr.hpp"
 #include "rv/trace.hpp"
@@ -262,17 +264,6 @@ TEST(BlockEngine, CachesCodeBeyond256KiB) {
   EXPECT_GT(s.decode_hits, 0u);
 }
 
-// fetch32's shadow-summary hit is a *fetch*-path hit and must be attributed
-// to fetch_summary_hits, not load_summary_hits.
-TEST(BlockEngine, Fetch32AttributesShadowHitToFetchCounter) {
-  MicroVm<rv::TaintedWord> vm;  // tainted RAM -> shadow summary attached
-  const auto m = vm.core.fetch32(static_cast<std::uint32_t>(Vm::kBase));
-  EXPECT_FALSE(m.fault);
-  const auto& s = vm.core.stats();
-  EXPECT_EQ(s.fetch_summary_hits, 1u);
-  EXPECT_EQ(s.load_summary_hits, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Taint-liveness variant gate (dual block variants on the VP+ core).
 // ---------------------------------------------------------------------------
@@ -371,6 +362,105 @@ TEST(BlockEngine, ClearingRememberedTaintedRegisterKeepsDispatchTainted) {
   EXPECT_GT(s.plain_variant_hits, 0u);
   EXPECT_EQ(s.tainted_variant_hits, tainted_one);
   EXPECT_EQ(vm.reg(a0), 30u);
+}
+
+// ---------------------------------------------------------------------------
+// Fetch clearance: decided on every dispatch, never cached on a block.
+// ---------------------------------------------------------------------------
+
+// Lattice LO -> MID -> HI with fetch clearance MID: ⊥ (LO) code is cleared
+// by a counted lookup, and a MID register keeps every dispatch tainted, so
+// the loop runs on the cleared tainted loop, chained. Once the host
+// classifies the loop's bytes HI, the next dispatch of the cached block
+// must refuse the fetch at the block head.
+void expect_reclassified_code_refused(bool monitor) {
+  dift::Lattice::Builder lb;
+  const dift::Tag lo = lb.add_class("LO");
+  const dift::Tag mid = lb.add_class("MID");
+  const dift::Tag hi = lb.add_class("HI");
+  lb.add_flow(lo, mid).add_flow(mid, hi);
+  const dift::Lattice lattice = lb.build();
+  dift::SecurityPolicy policy(lattice);
+  policy.set_execution_clearance({mid, std::nullopt, std::nullopt});
+  dift::DiftContext ctx(lattice);
+  ctx.set_monitor_mode(monitor);
+
+  TaintVm vm;
+  rvasm::Assembler a(TaintVm::kBase);
+  a.label("top");
+  a.addi(a0, a0, 1);
+  a.j("top");
+  const auto p = a.assemble();
+  vm.load(p);
+  vm.core.set_policy(&policy);
+  vm.core.set_reg(s5, rv::WordOps<rv::TaintedWord>::make(0, mid));
+  vm.core.run(20);  // ten iterations, stopping at the block head
+  const auto& s = vm.core.stats();
+  ASSERT_EQ(vm.reg(a0), 10u);
+  EXPECT_EQ(s.plain_variant_hits, 0u);
+  EXPECT_GT(s.chained_transfers, 0u);
+  EXPECT_EQ(s.fetch_summary_hits, 20u);  // cleared: no per-instruction check
+  ASSERT_TRUE(ctx.recorded().empty());
+
+  const std::uint64_t top = p.symbol("top");
+  vm.ram.classify(top - TaintVm::kBase, dift::ShadowSummary::kBlockBytes, hi);
+  if (monitor) {
+    vm.core.run(20);
+    EXPECT_EQ(vm.reg(a0), 20u);  // monitor mode records and goes on
+    ASSERT_EQ(ctx.recorded().size(), 20u);  // one record per instruction
+    EXPECT_EQ(ctx.recorded().front().kind, dift::ViolationKind::kFetchClearance);
+    EXPECT_EQ(ctx.recorded().front().pc, top);
+  } else {
+    try {
+      vm.core.run(20);
+      ADD_FAILURE() << "fetch of HI code was not refused";
+    } catch (const dift::PolicyViolation& v) {
+      EXPECT_EQ(v.kind(), dift::ViolationKind::kFetchClearance);
+      EXPECT_EQ(v.pc(), top);
+    }
+    EXPECT_EQ(vm.reg(a0), 10u);  // nothing retired
+  }
+}
+
+TEST(BlockEngine, ReclassifiedCodeIsRefusedOnNextDispatch) {
+  {
+    SCOPED_TRACE("enforce");
+    expect_reclassified_code_refused(false);
+  }
+  {
+    SCOPED_TRACE("monitor");
+    expect_reclassified_code_refused(true);
+  }
+}
+
+// A policy file may list a class other than its least first, so tag 0 —
+// the tag of all unclassified memory and registers — need not be cleared
+// for fetch. Such a policy must not dispatch the plain variant: the first
+// fetch is refused at the entry point.
+TEST(BlockEngine, ClearanceRefusingTagZeroDispatchesTainted) {
+  const auto spec = dift::PolicySpec::parse(
+      "class HI\n"
+      "class LO\n"
+      "flow LO -> HI\n"
+      "exec fetch LO\n");
+  ASSERT_EQ(spec.lattice().tag_of("HI"), dift::kBottomTag);
+  dift::DiftContext ctx(spec.lattice());
+  TaintVm vm;
+  rvasm::Assembler a(TaintVm::kBase);
+  a.label("top");
+  a.addi(a0, a0, 1);
+  a.j("top");
+  vm.load(a.assemble());
+  vm.core.set_policy(&spec.policy());
+  try {
+    vm.core.run(20);
+    ADD_FAILURE() << "fetch of tag-0 code was not refused";
+  } catch (const dift::PolicyViolation& v) {
+    EXPECT_EQ(v.kind(), dift::ViolationKind::kFetchClearance);
+    EXPECT_EQ(v.pc(), TaintVm::kBase);
+  }
+  EXPECT_EQ(vm.reg(a0), 0u);
+  EXPECT_EQ(vm.core.stats().plain_variant_hits, 0u);
 }
 
 // CPU + two memories: the DMI-backed RAM (clean) plus a second memory

@@ -86,10 +86,8 @@ TEST(ShadowSummary, MatchingTagStoreKeepsBlockUniform) {
   std::vector<Tag> plane(kB, Tag(4));
   ShadowSummary s;
   s.attach(plane.data(), plane.size());
-  const std::uint64_t gen = s.generation();
   s.on_store(8, 4, Tag(4));  // same tag: nothing changes
   EXPECT_EQ(s.block_summary(0), 4u);
-  EXPECT_EQ(s.generation(), gen);
 }
 
 TEST(ShadowSummary, StoreBytesRescansTheWrittenRun) {
@@ -113,20 +111,6 @@ TEST(ShadowSummary, ZeroLengthQueryIsNotUniform) {
   s.attach(plane.data(), plane.size());
   Tag t;
   EXPECT_FALSE(s.uniform(0, 0, &t));
-}
-
-TEST(ShadowSummary, GenerationBumpsOnlyOnSummaryChange) {
-  std::vector<Tag> plane(2 * kB, kBottomTag);
-  ShadowSummary s;
-  s.attach(plane.data(), plane.size());
-  const std::uint64_t g0 = s.generation();
-  plane[0] = Tag(1);
-  s.on_store(0, 1, Tag(1));  // uniform -> mixed: bump
-  const std::uint64_t g1 = s.generation();
-  EXPECT_GT(g1, g0);
-  plane[1] = Tag(2);
-  s.on_store(1, 1, Tag(2));  // already mixed: no bump
-  EXPECT_EQ(s.generation(), g1);
 }
 
 // A partial store into an already-mixed block returns early; a store that
@@ -154,11 +138,9 @@ TEST(ShadowSummary, MixedBlockExitKeepsShortLastBlockExact) {
   plane[7] = Tag(1);
   s.on_store(7, 1, Tag(1));
   ASSERT_EQ(s.block_summary(0), ShadowSummary::kMixed);
-  const std::uint64_t gen = s.generation();
   plane[60] = plane[61] = plane[62] = plane[63] = Tag(2);
   s.on_store(60, 4, Tag(2));
   EXPECT_EQ(s.block_summary(0), ShadowSummary::kMixed);
-  EXPECT_EQ(s.generation(), gen);
 }
 
 // The coherence invariant the readers rely on: a uniform summary never
