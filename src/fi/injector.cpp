@@ -137,7 +137,7 @@ void apply_now(vp::VpDift& v, const FaultSpec& f) {
     }
     case FaultModel::kRamFlip:
       if (f.offset < v.ram().size())
-        v.ram().data()[f.offset] ^= static_cast<std::uint8_t>(f.bits);
+        v.ram().flip_bits(f.offset, static_cast<std::uint8_t>(f.bits));
       break;
     case FaultModel::kTagCorrupt:
       corrupt_tags(v, f, v.core().pc());

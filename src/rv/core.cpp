@@ -42,6 +42,8 @@ inline void Core<W>::dmi_store(std::uint64_t off, std::uint32_t value, Tag tag) 
   // loop must abandon its stale micro-ops and re-translate.
   if (off < cur_block_hi_ && off + SZ > cur_block_lo_) smc_break_ = true;
   std::memcpy(dmi_data_ + off, &value, SZ);  // host is little-endian
+  dmi_written_[off >> kWrittenPageShift] = 1;
+  if constexpr (SZ > 1) dmi_written_[(off + SZ - 1) >> kWrittenPageShift] = 1;
   if constexpr (TAGS) {
     Tag cur = dift::kBottomTag;
     if (shadow_ && shadow_->uniform(off, SZ, &cur) && cur == tag) return;
@@ -405,10 +407,12 @@ template <typename W>
 Core<W>::Core(std::string name) : name_(std::move(name)) {}
 
 template <typename W>
-void Core<W>::set_dmi(std::uint8_t* data, Tag* tags, std::uint64_t base,
-                      std::uint64_t size, dift::ShadowSummary* shadow) {
+void Core<W>::set_dmi(std::uint8_t* data, Tag* tags, std::uint8_t* written,
+                      std::uint64_t base, std::uint64_t size,
+                      dift::ShadowSummary* shadow) {
   dmi_data_ = data;
   dmi_tags_ = tags;
+  dmi_written_ = written;
   dmi_base_ = base;
   dmi_size_ = size;
   shadow_ = shadow;
@@ -869,11 +873,16 @@ std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
               for (std::uint32_t i = 1; i < op.insn.len; ++i)
                 tag = dift::lub(tag, dmi_tags_[off + i]);
             }
-            if (uniform && dift::allowed_flow(tag, *exec_.fetch)) {
-              ++stats_.fetch_summary_hits;
-            } else {
+            if (!uniform) {
               dift::check_flow(tag, *exec_.fetch, ViolationKind::kFetchClearance,
                                pc_, pc_, "core.fetch");
+            } else if (dift::allowed_flow(tag, *exec_.fetch)) {
+              ++stats_.fetch_summary_hits;
+            } else {
+              // Refused by the one counted lookup above: no second one.
+              dift::detail::flow_violation(tag, *exec_.fetch,
+                                           ViolationKind::kFetchClearance, pc_,
+                                           pc_, "core.fetch");
             }
           }
         }

@@ -62,11 +62,17 @@ class Core {
   /// Socket for data/fetch transactions that miss the DMI window.
   tlmlite::InitiatorSocket& bus_socket() { return bus_; }
   /// Direct-memory-interface window over main RAM (`tags` may be null in the
-  /// plain build). `shadow` is the optional block-summary layer over `tags`
-  /// (see dift/shadow.hpp); when given, the tainted core's load/fetch paths
-  /// skip the per-byte LUB loop on uniform blocks.
-  void set_dmi(std::uint8_t* data, dift::Tag* tags, std::uint64_t base,
-               std::uint64_t size, dift::ShadowSummary* shadow = nullptr);
+  /// plain build). `written` is the memory's written-page set, one byte per
+  /// 2^kWrittenPageShift bytes of the window; every DMI store marks the
+  /// pages it writes (soc::Memory::written_pages()). `shadow` is the
+  /// optional block-summary layer over `tags` (see dift/shadow.hpp); when
+  /// given, the tainted core's load/fetch paths skip the per-byte LUB loop
+  /// on uniform blocks.
+  void set_dmi(std::uint8_t* data, dift::Tag* tags, std::uint8_t* written,
+               std::uint64_t base, std::uint64_t size,
+               dift::ShadowSummary* shadow = nullptr);
+  /// Page granularity of the written-page set given to set_dmi().
+  static constexpr unsigned kWrittenPageShift = 12;
   /// Installs the security policy (execution clearance + store protection).
   /// Only meaningful for the tainted instantiation.
   void set_policy(const dift::SecurityPolicy* policy);
@@ -239,8 +245,10 @@ class Core {
   /// load tag comes from the shadow summary first (a load_summary_hits hit),
   /// else from the SZ plane bytes read as one word: equal bytes are the tag,
   /// only differing ones walk the per-byte LUB, so lub_calls stays exact.
-  /// The store skips the plane write when the summary already holds `tag`
-  /// over the run, and otherwise writes the SZ tag bytes as one unit.
+  /// The store marks its page (both pages when it straddles a page end) in
+  /// the written-page set, skips the plane write when the summary already
+  /// holds `tag` over the run, and otherwise writes the SZ tag bytes as one
+  /// unit.
   template <std::uint32_t SZ, bool TAGS>
   MemAccess dmi_load(std::uint64_t off);
   template <std::uint32_t SZ, bool TAGS>
@@ -293,6 +301,7 @@ class Core {
   tlmlite::InitiatorSocket bus_;
   std::uint8_t* dmi_data_ = nullptr;
   dift::Tag* dmi_tags_ = nullptr;
+  std::uint8_t* dmi_written_ = nullptr;
   std::uint64_t dmi_base_ = 0;
   std::uint64_t dmi_size_ = 0;
   dift::ShadowSummary* shadow_ = nullptr;

@@ -85,7 +85,8 @@ Memory::Memory(sysc::Simulation& sim, std::string name, std::size_t size,
                bool track_tags)
     : Module(sim, std::move(name)),
       size_(size),
-      data_(zero_filled<std::uint8_t>(size)) {
+      data_(zero_filled<std::uint8_t>(size)),
+      written_((size + kPageBytes - 1) >> kPageShift, 0) {
   if (track_tags) {
     tags_ = zero_filled<dift::Tag>(size);
     shadow_.attach(tags_.get(), size_, /*known_bottom=*/true);
@@ -101,6 +102,7 @@ void Memory::load_image(const rvasm::Program& program, std::uint64_t ram_base) {
       throw std::out_of_range(name_ + ": program segment outside RAM");
     std::memcpy(data_.get() + (seg.base - ram_base), seg.bytes.data(),
                 seg.bytes.size());
+    mark_written(seg.base - ram_base, seg.bytes.size());
   }
 }
 
@@ -126,6 +128,17 @@ std::uint32_t Memory::read_u32(std::size_t offset) const {
 
 void Memory::write_u32(std::size_t offset, std::uint32_t value) {
   std::memcpy(data_.get() + offset, &value, 4);
+  mark_written(offset, 4);
+}
+
+void Memory::flip_bits(std::size_t offset, std::uint8_t bits) {
+  data_[offset] ^= bits;
+  mark_written(offset, 1);
+}
+
+void Memory::mark_written(std::size_t offset, std::size_t length) {
+  const std::size_t last = (offset + length - 1) >> kPageShift;
+  for (std::size_t p = offset >> kPageShift; p <= last; ++p) written_[p] = 1;
 }
 
 std::map<dift::Tag, std::size_t> Memory::tag_histogram() const {
@@ -152,7 +165,8 @@ bool Memory::tag_page_live(std::size_t page) const {
 SparsePlane Memory::save_data() const {
   SparsePlane s(size_);
   for (std::size_t p = 0, off = 0; off < size_; ++p, off += kPageBytes)
-    if (!all_zero(data_.get() + off, page_len(p))) s.add_page(p, data_.get() + off);
+    if (written_[p] && !all_zero(data_.get() + off, page_len(p)))
+      s.add_page(p, data_.get() + off);
   return s;
 }
 
@@ -167,11 +181,13 @@ SparsePlane Memory::save_tags() const {
 void Memory::restore(const SparsePlane& data, const SparsePlane& tags) {
   if (data.plane_size() != size_ || (!tags.empty() && tags.plane_size() != size_))
     throw std::invalid_argument(name_ + ": snapshot RAM size mismatch");
-  std::uint8_t* ram = data_.get();
+  // An unmarked page is all zero, so only marked pages need zeroing; the
+  // set ends up holding exactly the pages copied.
   restore_pages(
-      ram, size_, data,
-      [&](std::size_t p) { return !all_zero(ram + (p << kPageShift), page_len(p)); },
-      [](std::size_t, std::size_t, bool) {});
+      data_.get(), size_, data, [&](std::size_t p) { return written_[p] != 0; },
+      [&](std::size_t off, std::size_t, bool copied) {
+        written_[off >> kPageShift] = copied;
+      });
   if (!tags_) return;
   // The summary is exact wherever it says ⊥, so only pages holding a live
   // block can differ from zero; rescanning the copied pages and marking the
@@ -209,6 +225,7 @@ void Memory::transport(tlmlite::Payload& p, sysc::Time& delay) {
     }
   } else {
     std::memcpy(data_.get() + off, p.data, p.length);
+    if (p.length != 0) mark_written(off, p.length);
     if (p.tainted() && tags_) {
       std::memcpy(tags_.get() + off, p.tags, p.length);
       if (p.tags_uniform())

@@ -1,6 +1,7 @@
 // Main RAM with an optional per-byte tag plane.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,13 +62,33 @@ class SparsePlane {
 /// plane is an anonymous mapping of its own, zero-filled by the kernel and
 /// followed by a guard page, so RAM that a run never touches costs neither
 /// a memset, nor a summary scan, nor resident memory.
+///
+/// A written-page set (one byte per 4 KiB page) keeps the invariant that an
+/// unmarked RAM page is all zero. Every writer marks the pages it writes:
+/// bus/DMA transport, load_image(), write_u32(), flip_bits(), restore(),
+/// and the core's DMI stores through written_pages(). Snapshot, restore and
+/// reset then visit only marked pages, never scanning the rest of RAM.
 class Memory : public sysc::Module {
  public:
   Memory(sysc::Simulation& sim, std::string name, std::size_t size, bool track_tags);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
 
-  std::uint8_t* data() { return data_.get(); }
+  /// Raw RAM for tests and host-side tooling. Conservative: the caller may
+  /// write anywhere, so every page is marked written.
+  std::uint8_t* data() {
+    std::fill(written_.begin(), written_.end(), std::uint8_t{1});
+    return data_.get();
+  }
+  /// RAM for a DMI initiator that marks its own stores in written_pages().
+  std::uint8_t* dmi_data() { return data_.get(); }
+  /// The written-page set: byte `off >> SparsePlane::kPageShift` is non-zero
+  /// once RAM offset `off` may have been written.
+  std::uint8_t* written_pages() { return written_.data(); }
+  /// True iff page `page` is marked written (an unmarked page is all zero).
+  bool page_written(std::size_t page) const { return written_.at(page) != 0; }
+  /// Number of 4 KiB pages (the last may be short).
+  std::size_t page_count() const { return written_.size(); }
   dift::Tag* tags() { return tags_.get(); }
   std::size_t size() const { return size_; }
   bool tracks_tags() const { return tags_ != nullptr; }
@@ -84,24 +105,28 @@ class Memory : public sysc::Module {
   /// Direct read/write helpers for tests and host-side tooling.
   std::uint32_t read_u32(std::size_t offset) const;
   void write_u32(std::size_t offset, std::uint32_t value);
+  /// XORs `bits` into the byte at `offset` (a RAM bit-flip fault).
+  void flip_bits(std::size_t offset, std::uint8_t bits);
 
   /// Taint map statistics: bytes per security class (policy debugging aid).
   /// Empty when tags are not tracked.
   std::map<dift::Tag, std::size_t> tag_histogram() const;
 
-  /// RAM pages that are not all zero.
+  /// RAM pages that are not all zero; only marked pages are compared.
   SparsePlane save_data() const;
   /// Tag pages holding a block the summary does not call uniformly ⊥; the
   /// tag plane itself is never scanned. Untracked: an empty, sizeless plane.
   SparsePlane save_tags() const;
   /// Makes RAM equal `data` and the tag plane equal `tags` (an empty `tags`
   /// means all ⊥; ignored when untracked). Writes the held pages and zeroes
-  /// only the other pages that are non-zero, or whose summary is live; the
-  /// summary is rescanned over the pages written. Throws
+  /// only the other pages that are marked written, or whose summary is
+  /// live; the summary is rescanned over the pages written. Afterwards the
+  /// written-page set is exactly `data`'s held pages. Throws
   /// std::invalid_argument, before changing anything, when a plane's size
   /// differs from this memory's.
   void restore(const SparsePlane& data, const SparsePlane& tags);
-  /// Zero data and ⊥ tags, at the cost of restore() from empty planes.
+  /// Zero data and ⊥ tags, at the cost of restore() from empty planes:
+  /// afterwards no page is marked written.
   void clear() { restore(SparsePlane(size_), SparsePlane()); }
 
   /// Block-summary layer over the tag plane (unattached when untracked).
@@ -124,6 +149,8 @@ class Memory : public sysc::Module {
   static Plane<T> zero_filled(std::size_t n);
 
   void transport(tlmlite::Payload& p, sysc::Time& delay);
+  /// Marks the pages of [offset, offset+length) written (length > 0).
+  void mark_written(std::size_t offset, std::size_t length);
   /// Bytes of page `page` (the last page may be short).
   std::size_t page_len(std::size_t page) const;
   bool tag_page_live(std::size_t page) const;
@@ -132,6 +159,7 @@ class Memory : public sysc::Module {
   std::size_t size_;
   Plane<std::uint8_t> data_;
   Plane<dift::Tag> tags_;
+  std::vector<std::uint8_t> written_;  ///< one byte per page, 0 = all zero
   dift::ShadowSummary shadow_;
   std::uint64_t summary_hits_ = 0;
 };

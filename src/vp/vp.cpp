@@ -73,8 +73,9 @@ VirtualPrototype<W>::VirtualPrototype(sysc::Simulation* external, VpConfig confi
   // Initiators.
   core_.bus_socket().bind(bus_.target_socket());
   dma_.bus_socket().bind(bus_.target_socket());
-  core_.set_dmi(ram_.data(), ram_.tags(), am::kRamBase, ram_.size(),
-                ram_.tags() ? &ram_.shadow() : nullptr);
+  static_assert(rv::Core<W>::kWrittenPageShift == soc::SparsePlane::kPageShift);
+  core_.set_dmi(ram_.dmi_data(), ram_.tags(), ram_.written_pages(), am::kRamBase,
+                ram_.size(), ram_.tags() ? &ram_.shadow() : nullptr);
   core_.set_pc(am::kRamBase);
   core_.set_time_source([this] { return sim_->now().micros(); });
 

@@ -146,7 +146,9 @@ bool config_equivalent(const VpConfig& a, const VpConfig& b);
 ///
 /// RAM and tag plane are sparse (soc::SparsePlane): only pages that are not
 /// all zero / all ⊥ are held, so a snapshot costs a few KiB, not the size
-/// of RAM twice, and restore() touches only the pages either side uses.
+/// of RAM twice. snapshot() and restore() visit only the RAM pages in the
+/// memory's written-page set and the tag pages the shadow summary calls
+/// live, so their cost follows the pages a run wrote, not the size of RAM.
 ///
 /// The struct is deliberately not a template: a plain-VP snapshot has an
 /// empty `ram_tags`; restoring it into a DIFT VP clears the target's tag

@@ -12,6 +12,7 @@
 
 #include "dift/context.hpp"
 #include "dift/policy_parser.hpp"
+#include "fw/benchmarks.hpp"
 #include "micro_vm.hpp"
 #include "rv/csr.hpp"
 #include "rv/trace.hpp"
@@ -134,7 +135,8 @@ struct IrqVm {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(soc::addrmap::kClintBase, soc::addrmap::kClintSize, clint.socket(), "clint");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.data(), nullptr, kBase, ram.size(), nullptr);
+    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(), kBase,
+                 ram.size(), nullptr);
     clint.set_soft_irq(
         [this](bool level) { core.set_irq(rv::kIrqMsoft, level); });
     core.set_pc(kBase);
@@ -242,7 +244,8 @@ struct BigVm {
   BigVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.data(), nullptr, kBase, ram.size(), nullptr);
+    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(), kBase,
+                 ram.size(), nullptr);
     core.set_pc(kBase);
   }
 };
@@ -463,6 +466,30 @@ TEST(BlockEngine, ClearanceRefusingTagZeroDispatchesTainted) {
   EXPECT_EQ(vm.core.stats().plain_variant_hits, 0u);
 }
 
+// Regression: the careful path counted two flow_checks for a uniformly
+// tagged instruction whose fetch is refused, the span lookup and then a
+// second one for the same pair inside check_flow(). With primes' RAM
+// classified HI under "exec fetch LO", every fetch is refused: one lookup
+// per dispatch (the block-span check) plus one per instruction.
+TEST(BlockEngine, RefusedUniformFetchCountsOneFlowCheck) {
+  const auto spec = dift::PolicySpec::parse(
+      "class LO\n"
+      "class HI\n"
+      "flow LO -> HI\n"
+      "classify memory 0x80000000 0x10000 HI\n"
+      "exec fetch LO\n");
+  vp::VpDift v;
+  v.load(fw::make_primes(10000));
+  v.apply_policy(spec.policy());
+  v.set_monitor_mode(true);
+  const auto r = v.run(sysc::Time::sec(10));
+  ASSERT_TRUE(r.exited());
+  EXPECT_EQ(r.instret, 737280u);
+  EXPECT_EQ(r.recorded_violations.size(), r.instret);
+  EXPECT_EQ(r.stats.tainted_variant_hits, 134793u);
+  EXPECT_EQ(r.stats.flow_checks, 872073u);  // 737,280 + 134,793
+}
+
 // CPU + two memories: the DMI-backed RAM (clean) plus a second memory
 // reachable only over the bus — MMIO, and on the VP+ the source of
 // mid-block taint.
@@ -481,8 +508,8 @@ struct IoVm {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(kIoBase, io.size(), io.socket(), "io");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.data(), ram.tags(), kBase, ram.size(),
-                 ram.tags() ? &ram.shadow() : nullptr);
+    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(), kBase,
+                 ram.size(), ram.tags() ? &ram.shadow() : nullptr);
     core.set_pc(kBase);
   }
 };

@@ -15,14 +15,15 @@ struct MicroVm {
 
   sysc::Simulation sim;
   tlmlite::Bus bus{sim, "bus"};
-  soc::Memory ram{sim, "ram", 64 * 1024, rv::WordOps<W>::kTainted};
+  soc::Memory ram;
   rv::Core<W> core;
 
-  MicroVm() {
+  explicit MicroVm(std::size_t ram_bytes = 64 * 1024)
+      : ram(sim, "ram", ram_bytes, rv::WordOps<W>::kTainted) {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.data(), ram.tags(), kBase, ram.size(),
-                 ram.tags() ? &ram.shadow() : nullptr);
+    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(), kBase,
+                 ram.size(), ram.tags() ? &ram.shadow() : nullptr);
     core.set_pc(kBase);
   }
 
