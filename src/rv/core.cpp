@@ -39,7 +39,7 @@ template <typename W>
 template <std::uint32_t SZ, bool TAGS>
 inline void Core<W>::dmi_store(std::uint64_t off, std::uint32_t value, Tag tag) {
   // Forward store into the remainder of the executing block: the dispatch
-  // loop must abandon its stale micro-ops and re-translate.
+  // must abandon its stale micro-ops and re-translate.
   if (off < cur_block_hi_ && off + SZ > cur_block_lo_) smc_break_ = true;
   std::memcpy(dmi_data_ + off, &value, SZ);  // host is little-endian
   dmi_written_[off >> kWrittenPageShift] = 1;
@@ -55,12 +55,13 @@ inline void Core<W>::dmi_store(std::uint64_t off, std::uint32_t value, Tag tag) 
 // ---------------------------------------------------------------------------
 // Per-instruction handlers.
 //
-// Every Op has one handler function per Core instantiation; the block engine
-// stores the resolved function pointer in each micro-op so the dispatch loop
-// is just `op.fn(core, op.insn)`. execute() routes through the same table, so
-// the slow (bus-fetch) path and the block path share semantics by
-// construction. Handlers read the current instruction pc from `c.pc_` and
-// leave the successor pc in `c.next_pc_` (pre-set to pc + len by the caller).
+// Every Op has one handler function per Core instantiation. execute() and
+// the careful block loop call it through the table (CoreOps::entry); the
+// cleared block path runs it through its threaded entry th<>, which the
+// block builder stores in each micro-op. Both reach the same handler, so the
+// slow (bus-fetch) path and the block path share semantics by construction.
+// Handlers read the current instruction pc from `c.pc_` and leave the
+// successor pc in `c.next_pc_` (pre-set to pc + len by the caller).
 //
 // Taint semantics mirror the Taint<T> operators (paper Fig. 3): reg-reg ALU
 // results take the LUB of the operand tags — with an untainted-operand fast
@@ -75,13 +76,16 @@ struct CoreOps {
   using Ops = WordOps<W>;
   static constexpr bool kT = Ops::kTainted;
   using Fn = typename C::ExecFn;
+  using ThreadFn = typename C::ThreadFn;
+  using MicroOp = typename C::MicroOp;
 
   struct OpInfo {
-    Fn fn;            ///< full (tainted) handler
-    Fn fast;          ///< plain-variant handler (aliases fn for terminators)
-    bool mem;         ///< load/store: can raise IRQs / modify code mid-block
-    bool cf;          ///< conditional branch: exits the block only when taken
-    bool terminator;  ///< ends a translated block
+    Fn fn;             ///< full (tainted) handler, unthreaded
+    ThreadFn th;       ///< threaded entry of fn
+    ThreadFn th_fast;  ///< threaded entry of the plain-variant handler
+    bool mem;          ///< load/store: can raise IRQs / modify code mid-block
+    bool cf;           ///< conditional branch: exits the block only when taken
+    bool terminator;   ///< ends a translated block
   };
 
   // ---- ALU value functions ----
@@ -323,79 +327,129 @@ struct CoreOps {
   }
   static void h_illegal(C& c, const Insn& d) { c.take_trap(kCauseIllegalInsn, d.raw); }
 
+  // ---- threaded dispatch ----
+  //
+  // th<H> is the micro-op entry of the cleared block path: it runs handler
+  // H, retires the op, and unless one of the exit rules below holds, enters
+  // the next micro-op of the block with a tail call, so a dispatch is one
+  // chain of indirect jumps. The chain returns to exec_cleared() when
+  //  * the op is the last one of this dispatch (`th_last_`, which carries
+  //    the budget clamp, so a pending fault trigger stops it exactly);
+  //  * the op trapped (only loads, stores and branches can trap mid-block;
+  //    every other trapping op is a terminator and so the last op anyway);
+  //  * a conditional branch (CF) was taken;
+  //  * a load or store (MEM) raised an enabled interrupt, wrote into the
+  //    executing block (`smc_break_`) or, on the plain variant, brought in
+  //    a live tag (`taint_break_`).
+  // g++ -O2 compiles the tail call to `jmp *`. Without tail calls (-O0)
+  // the chain recurses instead, at most kMaxBlockOps frames deep.
+  template <Fn H, bool PLAIN, bool MEM, bool CF>
+  static void th(C& c, const MicroOp& op) {
+    const std::uint32_t seq = c.next_pc_;
+    H(c, op.insn);
+    c.pc_ = c.next_pc_;
+    ++c.instret_;
+    if (&op == c.th_last_) return;
+    if constexpr (MEM || CF) {
+      if (c.trapped_) return;
+    }
+    if constexpr (CF) {
+      if (c.pc_ != seq) return;  // taken branch left the block
+    }
+    if constexpr (MEM) {
+      if ((c.csrs_.mip & c.csrs_.mie) != 0 || c.smc_break_ ||
+          (PLAIN && c.taint_break_))
+        return;
+    }
+    const MicroOp& next = (&op)[1];
+    c.next_pc_ = c.pc_ + next.insn.len;
+    return (PLAIN ? next.fast : next.fn)(c, next);
+  }
+
+  // Table entry for full handler H and plain-variant handler HF. The plain
+  // core has no variant split: its plain slot aliases the full entry.
+  template <Fn H, Fn HF = H, bool MEM = false, bool CF = false>
+  static constexpr OpInfo info() {
+    ThreadFn fast = &th<H, false, MEM, CF>;
+    if constexpr (kT) fast = &th<HF, true, MEM, CF>;
+    return {H, &th<H, false, MEM, CF>, fast, MEM, CF, false};
+  }
+
   // ---- dispatch table, indexed by Op ----
   //
   // Terminators (jal/jalr/mret/csr/fence/ecall/ebreak/wfi/illegal) keep the
-  // full handler in the fast slot: they run at most once per block, and
+  // full handler in the plain slot: they run at most once per block, and
   // their tag checks (mepc/mtvec tags, CSR tag propagation into rd) depend
   // on CSR state the plain-state gate does not track.
   static constexpr std::array<OpInfo, kNumOps> make_table() {
     std::array<OpInfo, kNumOps> t{};
-    for (auto& e : t) e = {&h_illegal, &h_illegal, false, false, true};
+    for (auto& e : t) {
+      e = info<&h_illegal>();
+      e.terminator = true;
+    }
     // The terminator flag is derived from rv::is_block_terminator so the
     // block builder and the static analyzer's window replication can never
     // disagree about where a translated block ends.
-    auto set = [&](Op op, Fn fn, Fn fast, bool mem, bool cf = false) {
-      t[static_cast<std::size_t>(op)] = {fn, fast, mem, cf,
-                                         is_block_terminator(op)};
+    auto set = [&](Op op, OpInfo e) {
+      e.terminator = is_block_terminator(op);
+      t[static_cast<std::size_t>(op)] = e;
     };
-    auto set1 = [&](Op op, Fn fn, bool mem) { set(op, fn, fn, mem); };
-    set1(Op::kLui, &h_lui, false);
-    set1(Op::kAuipc, &h_auipc, false);
-    set1(Op::kJal, &h_jal, false);
-    set1(Op::kJalr, &h_jalr, false);
-    set(Op::kBeq, &h_br<&p_eq>, &h_br<&p_eq, true>, false, true);
-    set(Op::kBne, &h_br<&p_ne>, &h_br<&p_ne, true>, false, true);
-    set(Op::kBlt, &h_br<&p_lt>, &h_br<&p_lt, true>, false, true);
-    set(Op::kBge, &h_br<&p_ge>, &h_br<&p_ge, true>, false, true);
-    set(Op::kBltu, &h_br<&p_ltu>, &h_br<&p_ltu, true>, false, true);
-    set(Op::kBgeu, &h_br<&p_geu>, &h_br<&p_geu, true>, false, true);
-    set(Op::kLb, &h_load<1, true>, &h_load<1, true, true>, true);
-    set(Op::kLh, &h_load<2, true>, &h_load<2, true, true>, true);
-    set(Op::kLw, &h_load<4, false>, &h_load<4, false, true>, true);
-    set(Op::kLbu, &h_load<1, false>, &h_load<1, false, true>, true);
-    set(Op::kLhu, &h_load<2, false>, &h_load<2, false, true>, true);
-    set(Op::kSb, &h_store<1>, &h_store<1, true>, true);
-    set(Op::kSh, &h_store<2>, &h_store<2, true>, true);
-    set(Op::kSw, &h_store<4>, &h_store<4, true>, true);
-    set(Op::kAddi, &h_ri<&f_add>, &h_ri<&f_add, true>, false);
-    set(Op::kSlti, &h_ri<&f_slt>, &h_ri<&f_slt, true>, false);
-    set(Op::kSltiu, &h_ri<&f_sltu>, &h_ri<&f_sltu, true>, false);
-    set(Op::kXori, &h_ri<&f_xor>, &h_ri<&f_xor, true>, false);
-    set(Op::kOri, &h_ri<&f_or>, &h_ri<&f_or, true>, false);
-    set(Op::kAndi, &h_ri<&f_and>, &h_ri<&f_and, true>, false);
-    set(Op::kSlli, &h_ri<&f_sll>, &h_ri<&f_sll, true>, false);
-    set(Op::kSrli, &h_ri<&f_srl>, &h_ri<&f_srl, true>, false);
-    set(Op::kSrai, &h_ri<&f_sra>, &h_ri<&f_sra, true>, false);
-    set(Op::kAdd, &h_rr<&f_add>, &h_rr<&f_add, true>, false);
-    set(Op::kSub, &h_rr<&f_sub>, &h_rr<&f_sub, true>, false);
-    set(Op::kSll, &h_rr<&f_sll>, &h_rr<&f_sll, true>, false);
-    set(Op::kSlt, &h_rr<&f_slt>, &h_rr<&f_slt, true>, false);
-    set(Op::kSltu, &h_rr<&f_sltu>, &h_rr<&f_sltu, true>, false);
-    set(Op::kXor, &h_rr<&f_xor>, &h_rr<&f_xor, true>, false);
-    set(Op::kSrl, &h_rr<&f_srl>, &h_rr<&f_srl, true>, false);
-    set(Op::kSra, &h_rr<&f_sra>, &h_rr<&f_sra, true>, false);
-    set(Op::kOr, &h_rr<&f_or>, &h_rr<&f_or, true>, false);
-    set(Op::kAnd, &h_rr<&f_and>, &h_rr<&f_and, true>, false);
-    set1(Op::kFence, &h_fence, false);
-    set1(Op::kEcall, &h_ecall, false);
-    set1(Op::kEbreak, &h_ebreak, false);
-    set(Op::kMul, &h_rr<&f_mul>, &h_rr<&f_mul, true>, false);
-    set(Op::kMulh, &h_rr<&f_mulh>, &h_rr<&f_mulh, true>, false);
-    set(Op::kMulhsu, &h_rr<&f_mulhsu>, &h_rr<&f_mulhsu, true>, false);
-    set(Op::kMulhu, &h_rr<&f_mulhu>, &h_rr<&f_mulhu, true>, false);
-    set(Op::kDiv, &h_rr<&f_div>, &h_rr<&f_div, true>, false);
-    set(Op::kDivu, &h_rr<&f_divu>, &h_rr<&f_divu, true>, false);
-    set(Op::kRem, &h_rr<&f_rem>, &h_rr<&f_rem, true>, false);
-    set(Op::kRemu, &h_rr<&f_remu>, &h_rr<&f_remu, true>, false);
-    set1(Op::kCsrrw, &h_csr, false);
-    set1(Op::kCsrrs, &h_csr, false);
-    set1(Op::kCsrrc, &h_csr, false);
-    set1(Op::kCsrrwi, &h_csr, false);
-    set1(Op::kCsrrsi, &h_csr, false);
-    set1(Op::kCsrrci, &h_csr, false);
-    set1(Op::kMret, &h_mret, false);
-    set1(Op::kWfi, &h_wfi, false);
+    set(Op::kLui, info<&h_lui>());
+    set(Op::kAuipc, info<&h_auipc>());
+    set(Op::kJal, info<&h_jal>());
+    set(Op::kJalr, info<&h_jalr>());
+    set(Op::kBeq, info<&h_br<&p_eq>, &h_br<&p_eq, true>, false, true>());
+    set(Op::kBne, info<&h_br<&p_ne>, &h_br<&p_ne, true>, false, true>());
+    set(Op::kBlt, info<&h_br<&p_lt>, &h_br<&p_lt, true>, false, true>());
+    set(Op::kBge, info<&h_br<&p_ge>, &h_br<&p_ge, true>, false, true>());
+    set(Op::kBltu, info<&h_br<&p_ltu>, &h_br<&p_ltu, true>, false, true>());
+    set(Op::kBgeu, info<&h_br<&p_geu>, &h_br<&p_geu, true>, false, true>());
+    set(Op::kLb, info<&h_load<1, true>, &h_load<1, true, true>, true>());
+    set(Op::kLh, info<&h_load<2, true>, &h_load<2, true, true>, true>());
+    set(Op::kLw, info<&h_load<4, false>, &h_load<4, false, true>, true>());
+    set(Op::kLbu, info<&h_load<1, false>, &h_load<1, false, true>, true>());
+    set(Op::kLhu, info<&h_load<2, false>, &h_load<2, false, true>, true>());
+    set(Op::kSb, info<&h_store<1>, &h_store<1, true>, true>());
+    set(Op::kSh, info<&h_store<2>, &h_store<2, true>, true>());
+    set(Op::kSw, info<&h_store<4>, &h_store<4, true>, true>());
+    set(Op::kAddi, info<&h_ri<&f_add>, &h_ri<&f_add, true>>());
+    set(Op::kSlti, info<&h_ri<&f_slt>, &h_ri<&f_slt, true>>());
+    set(Op::kSltiu, info<&h_ri<&f_sltu>, &h_ri<&f_sltu, true>>());
+    set(Op::kXori, info<&h_ri<&f_xor>, &h_ri<&f_xor, true>>());
+    set(Op::kOri, info<&h_ri<&f_or>, &h_ri<&f_or, true>>());
+    set(Op::kAndi, info<&h_ri<&f_and>, &h_ri<&f_and, true>>());
+    set(Op::kSlli, info<&h_ri<&f_sll>, &h_ri<&f_sll, true>>());
+    set(Op::kSrli, info<&h_ri<&f_srl>, &h_ri<&f_srl, true>>());
+    set(Op::kSrai, info<&h_ri<&f_sra>, &h_ri<&f_sra, true>>());
+    set(Op::kAdd, info<&h_rr<&f_add>, &h_rr<&f_add, true>>());
+    set(Op::kSub, info<&h_rr<&f_sub>, &h_rr<&f_sub, true>>());
+    set(Op::kSll, info<&h_rr<&f_sll>, &h_rr<&f_sll, true>>());
+    set(Op::kSlt, info<&h_rr<&f_slt>, &h_rr<&f_slt, true>>());
+    set(Op::kSltu, info<&h_rr<&f_sltu>, &h_rr<&f_sltu, true>>());
+    set(Op::kXor, info<&h_rr<&f_xor>, &h_rr<&f_xor, true>>());
+    set(Op::kSrl, info<&h_rr<&f_srl>, &h_rr<&f_srl, true>>());
+    set(Op::kSra, info<&h_rr<&f_sra>, &h_rr<&f_sra, true>>());
+    set(Op::kOr, info<&h_rr<&f_or>, &h_rr<&f_or, true>>());
+    set(Op::kAnd, info<&h_rr<&f_and>, &h_rr<&f_and, true>>());
+    set(Op::kFence, info<&h_fence>());
+    set(Op::kEcall, info<&h_ecall>());
+    set(Op::kEbreak, info<&h_ebreak>());
+    set(Op::kMul, info<&h_rr<&f_mul>, &h_rr<&f_mul, true>>());
+    set(Op::kMulh, info<&h_rr<&f_mulh>, &h_rr<&f_mulh, true>>());
+    set(Op::kMulhsu, info<&h_rr<&f_mulhsu>, &h_rr<&f_mulhsu, true>>());
+    set(Op::kMulhu, info<&h_rr<&f_mulhu>, &h_rr<&f_mulhu, true>>());
+    set(Op::kDiv, info<&h_rr<&f_div>, &h_rr<&f_div, true>>());
+    set(Op::kDivu, info<&h_rr<&f_divu>, &h_rr<&f_divu, true>>());
+    set(Op::kRem, info<&h_rr<&f_rem>, &h_rr<&f_rem, true>>());
+    set(Op::kRemu, info<&h_rr<&f_remu>, &h_rr<&f_remu, true>>());
+    set(Op::kCsrrw, info<&h_csr>());
+    set(Op::kCsrrs, info<&h_csr>());
+    set(Op::kCsrrc, info<&h_csr>());
+    set(Op::kCsrrwi, info<&h_csr>());
+    set(Op::kCsrrsi, info<&h_csr>());
+    set(Op::kCsrrci, info<&h_csr>());
+    set(Op::kMret, info<&h_mret>());
+    set(Op::kWfi, info<&h_wfi>());
     return t;
   }
   static constexpr std::array<OpInfo, kNumOps> kTable = make_table();
@@ -699,7 +753,7 @@ void Core<W>::build_into(Block& b, std::uint64_t off) {
     std::memcpy(&raw, dmi_data_ + cur, 4);  // host is little-endian
     const Insn insn = decode_any(raw);
     const auto& e = CoreOps<W>::entry(insn.op);
-    b.ops.push_back(MicroOp{insn, e.fn, e.fast, e.mem, e.cf});
+    b.ops.push_back(MicroOp{insn, e.th, e.th_fast});
     cur += insn.len;
     ++stats_.decode_misses;
     if (e.terminator) break;
@@ -774,45 +828,35 @@ bool Core<W>::plain_state() {
 template <typename W>
 template <bool PLAIN>
 std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n, bool fresh) {
-  // No per-instruction fetch checks, no trace test. Loads and stores can
-  // raise interrupts synchronously (CLINT) or modify code, so they re-test
-  // the block-exit conditions; a PLAIN bus load that introduced taint also
-  // ends the block (taint_break_) so the next op re-dispatches tainted.
+  // No per-instruction fetch checks, no trace test: one call into the first
+  // micro-op's threaded entry runs the dispatch (see CoreOps::th for the
+  // exit rules) and the retirement counter says how far it got.
   const auto retire = [&](std::uint64_t k) {
     if (!fresh) stats_.decode_hits += k;
     if constexpr (kTainted) {
       if (exec_.fetch) stats_.fetch_summary_hits += k;
     }
   };
+  if (n == 0) return 0;  // a fault callback re-armed at the current instret
   cur_block_lo_ = b.start_off;
   cur_block_hi_ = b.start_off + b.byte_len;
   smc_break_ = false;
   if constexpr (PLAIN) taint_break_ = false;
-  const MicroOp* ops = b.ops.data();
-  std::uint64_t done = 0;
+  trapped_ = false;
+  const MicroOp& first = b.ops.front();
+  th_last_ = &first + (n - 1);
+  const std::uint64_t base = instret_;
+  next_pc_ = pc_ + first.insn.len;
   try {
-    while (done < n) {
-      const MicroOp& op = ops[done];
-      const std::uint32_t seq = pc_ + op.insn.len;
-      next_pc_ = seq;
-      trapped_ = false;
-      (PLAIN ? op.fast : op.fn)(*this, op.insn);
-      pc_ = next_pc_;
-      ++instret_;
-      ++done;
-      if (trapped_) break;
-      if (op.cf && pc_ != seq) break;  // taken branch left the block
-      if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_ ||
-                     (PLAIN && taint_break_)))
-        break;
-    }
+    (PLAIN ? first.fast : first.fn)(*this, first);
   } catch (...) {
     // Enforcement violation inside a handler: the instruction was fetched
     // and decoded but did not retire — count it like the per-insn engine.
-    retire(done + 1);
+    retire(instret_ - base + 1);
     cur_block_lo_ = cur_block_hi_ = 0;
     throw;
   }
+  const std::uint64_t done = instret_ - base;
   retire(done);
   cur_block_lo_ = cur_block_hi_ = 0;
   return done;
@@ -887,10 +931,11 @@ std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
           }
         }
       }
+      const auto& e = CoreOps<W>::entry(op.insn.op);
       const std::uint32_t seq = pc_ + op.insn.len;
       next_pc_ = seq;
       trapped_ = false;
-      op.fn(*this, op.insn);
+      e.fn(*this, op.insn);
       if (trace_) {
         // A trapping instruction never wrote rd; record x0 (0, untainted)
         // instead of the stale pre-trap register contents.
@@ -902,8 +947,8 @@ std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
       ++instret_;
       ++done;
       if (trapped_) break;
-      if (op.cf && pc_ != seq) break;  // taken branch left the block
-      if (op.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_)) break;
+      if (e.cf && pc_ != seq) break;  // taken branch left the block
+      if (e.mem && ((csrs_.mip & csrs_.mie) != 0 || smc_break_)) break;
     }
   } catch (...) {
     cur_block_lo_ = cur_block_hi_ = 0;

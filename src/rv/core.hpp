@@ -15,10 +15,10 @@
 //
 // The hot loop is a basic-block translation cache (see docs/perf.md): code
 // in the DMI window is decoded once per straight-line region into micro-ops
-// with per-instruction handler function pointers, and per-instruction
-// overheads (interrupt-pending test, fetch-clearance check, trace test) are
-// hoisted to block boundaries. Blocks revalidate against the raw instruction
-// bytes so self-modifying code stays correct.
+// with threaded handler entries, each of which tail-calls the next, and
+// per-instruction overheads (interrupt-pending test, fetch-clearance check,
+// trace test) are hoisted to block boundaries. Blocks revalidate against
+// the raw instruction bytes so self-modifying code stays correct.
 #pragma once
 
 #include <array>
@@ -189,29 +189,37 @@ class Core {
   friend struct CoreOps<W>;
   /// Handler signature for one decoded instruction: executes the operation,
   /// leaving `next_pc_` at the successor pc (handlers of control-flow ops
-  /// overwrite it). Shared by the block dispatch loop and execute().
+  /// overwrite it). execute() and the careful block loop call it through
+  /// CoreOps<W>::entry().
   using ExecFn = void (*)(Core&, const Insn&);
+
+  struct MicroOp;
+  /// Threaded micro-op entry: runs the op's handler, retires it, and enters
+  /// the next micro-op of the block with a tail call unless the dispatch
+  /// must end there (exit rules at CoreOps::th in core.cpp).
+  using ThreadFn = void (*)(Core&, const MicroOp&);
 
   /// One pre-decoded instruction of a translated block.
   ///
-  /// Every op carries two resolved handlers: `fn` is the full (tainted)
+  /// Every op carries two threaded entries: `fn` runs the full (tainted)
   /// semantics, `fast` the taint-liveness-specialized plain variant that
   /// skips all tag work — valid only while plain_state() holds (shadow plane
-  /// uniformly ⊥, register tags ⊥, every clearance admits ⊥). Terminators
-  /// and the plain instantiation alias fast == fn.
+  /// uniformly ⊥, register tags ⊥, every clearance admits ⊥). A chain stays
+  /// on the flavour it was entered with. Terminators run their full handler
+  /// in both, and the plain instantiation aliases fast == fn.
   struct MicroOp {
     Insn insn;
-    ExecFn fn;
-    ExecFn fast;
-    bool mem;  ///< load/store: may raise an IRQ or modify code mid-block
-    bool cf;   ///< conditional branch: exits the block only when taken
+    ThreadFn fn;
+    ThreadFn fast;
   };
 
   /// One translated basic block: a run of micro-ops ending at the first
-  /// unconditional-control-flow/CSR/fence/WFI terminator (or kMaxBlockOps).
-  /// Conditional branches stay inside the block — they fall through to the
-  /// next micro-op when not taken and exit the block when taken, which keeps
-  /// branch-dense inner loops in one block instead of fragmenting them.
+  /// unconditional-control-flow/CSR/fence/WFI terminator (or kMaxBlockOps),
+  /// stored contiguously so each op's threaded entry finds its successor at
+  /// the next slot. Conditional branches stay inside the block — they fall
+  /// through to the next micro-op when not taken and exit the block when
+  /// taken, which keeps branch-dense inner loops in one block instead of
+  /// fragmenting them.
   /// `raw` snapshots the encoded bytes; a byte compare on entry revalidates
   /// against self-modifying code. `chain` caches the successor block reached
   /// last time the block ran. A block holds no policy or tag state: its
@@ -226,7 +234,8 @@ class Core {
   };
 
   /// Upper bound on micro-ops per block (straight-line runs longer than this
-  /// split into consecutive blocks).
+  /// split into consecutive blocks). Also the deepest a threaded chain
+  /// recurses where the compiler emits no tail calls (-O0).
   static constexpr std::size_t kMaxBlockOps = 64;
 
   void execute(const Insn& d);
@@ -262,9 +271,10 @@ class Core {
   void build_into(Block& b, std::uint64_t off);
   std::uint64_t exec_block(const Block& b, std::uint64_t budget, bool fresh,
                            bool plain);
-  /// Runs the first `n` micro-ops of a block cleared for fetch, without
-  /// per-instruction checks: PLAIN runs the `fast` handlers and leaves on
-  /// `taint_break_`, otherwise the full `fn` handlers.
+  /// Runs up to the first `n` micro-ops of a block cleared for fetch as one
+  /// threaded chain, without per-instruction checks: PLAIN enters the
+  /// `fast` entries (which also leave on `taint_break_`), otherwise the
+  /// full `fn` ones. Returns the number of ops retired.
   template <bool PLAIN>
   std::uint64_t exec_cleared(const Block& b, std::size_t n, bool fresh);
   void step_slow();
@@ -307,7 +317,9 @@ class Core {
   dift::ShadowSummary* shadow_ = nullptr;
 
   dift::DiftStats stats_;
-  bool trapped_ = false;  ///< execute() took a trap (no rd write happened)
+  /// A handler took a trap (no rd write happened). Cleared per instruction
+  /// by the careful paths and once per threaded dispatch.
+  bool trapped_ = false;
   bool fatal_trap_ = false;  ///< trapped into mtvec == 0 (no handler installed)
 
   // One-shot injected fault (see arm_fault()).
@@ -322,13 +334,15 @@ class Core {
   std::vector<std::unique_ptr<Block>> blocks_;
 
   // Bounds (DMI offsets) of the block currently executing, so store() can
-  // flag forward stores into the remainder of the block; `smc_break_` makes
-  // the dispatch loop leave the block and re-translate at the new pc. Bus
+  // flag forward stores into the remainder of the block; `smc_break_` ends
+  // the running dispatch so the block is re-translated at the new pc. Bus
   // (MMIO) stores leave it alone: no peripheral writes code memory
   // synchronously (see Core::store).
   std::uint64_t cur_block_lo_ = 0;
   std::uint64_t cur_block_hi_ = 0;
   bool smc_break_ = false;
+  /// Last micro-op the running threaded dispatch may execute (its budget).
+  const MicroOp* th_last_ = nullptr;
 
   // Taint-liveness gate state. `reg_tag_or_` is a sticky OR of every tag
   // written to a register: 0 proves all register tags are ⊥; non-zero is
@@ -337,9 +351,9 @@ class Core {
   // `reg_tag_hint_` is the register the last rescan found tainted; while it
   // still is, the gate answers without a rescan.
   // `taint_break_` is raised by a plain-variant handler whose result
-  // introduced taint (tagged MMIO read / DMA side effect): the dispatch
-  // loop leaves the plain loop before the next op so everything downstream
-  // runs with full tag semantics. `plain_ok_` answers "every execution
+  // introduced taint (tagged MMIO read / DMA side effect): the plain
+  // dispatch ends before the next op so everything downstream runs with
+  // full tag semantics. `plain_ok_` answers "every execution
   // clearance and store protection admits ⊥-tagged execution" under the
   // policy's lattice; set_policy() fixes it.
   dift::Tag reg_tag_or_ = dift::kBottomTag;

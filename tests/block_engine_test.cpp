@@ -793,4 +793,171 @@ TEST(BlockEngine, WarmResetKeepsTranslations) {
   EXPECT_GT(vm.core.stats().decode_misses, misses_cold);  // cold re-decodes
 }
 
+// ---------------------------------------------------------------------------
+// Threaded dispatch: where a chain of micro-ops stops.
+// ---------------------------------------------------------------------------
+
+// A load from an unmapped address in the middle of a block traps: the chain
+// stops at the load, which retires as the trapping instruction, and no later
+// op of the block runs.
+TEST(BlockEngine, MidBlockLoadFaultStopsChainAtTheLoad) {
+  Vm vm;
+  rvasm::Assembler a(Vm::kBase);
+  a.la(t0, "handler");
+  a.csrrw(zero, rv::csr::kMtvec, t0);  // CSR op: block boundary
+  a.li(t1, 0x40000000);                // nothing is mapped there
+  a.addi(a0, zero, 1);
+  a.label("fault");
+  a.lw(a1, t1, 0);
+  a.addi(a2, zero, 1);  // must never run
+  a.addi(a3, zero, 1);  // must never run
+  a.label("spin");
+  a.j("spin");
+  a.label("handler");
+  a.csrrs(s0, rv::csr::kMepc, zero);
+  a.csrrs(s1, rv::csr::kMcause, zero);
+  a.csrrs(s2, rv::csr::kMinstret, zero);
+  a.label("hspin");
+  a.j("hspin");
+  const auto p = a.assemble();
+  vm.load(p);
+  vm.core.run(40);
+
+  const std::uint64_t fault = p.symbol("fault");
+  EXPECT_EQ(vm.reg(a0), 1u);
+  EXPECT_EQ(vm.reg(a2), 0u);
+  EXPECT_EQ(vm.reg(a3), 0u);
+  EXPECT_EQ(vm.reg(s0), fault);
+  EXPECT_EQ(vm.reg(s1), rv::kCauseLoadAccessFault);
+  // Every op up to and including the load retired, then mepc and mcause
+  // were read before minstret.
+  EXPECT_EQ(vm.reg(s2), (fault - Vm::kBase) / 4 + 1 + 2);
+  EXPECT_EQ(vm.core.instret(), 40u);
+}
+
+// A fault armed inside a block fires at exactly its instret, on the VP and
+// on both VP+ variants: the dispatch holding the trigger stops short.
+template <typename W>
+void expect_fault_fires_mid_block(bool tainted_dispatch) {
+  MicroVm<W> vm;
+  rvasm::Assembler a(MicroVm<W>::kBase);
+  a.label("top");
+  for (int i = 0; i < 20; ++i) a.addi(a0, a0, 1);
+  a.j("top");
+  vm.load(a.assemble());
+  // A tagged register the program never reads keeps every VP+ dispatch on
+  // the tainted variant without changing what runs.
+  if (tainted_dispatch) vm.core.set_reg(s5, rv::WordOps<W>::make(0, dift::Tag{1}));
+  std::uint64_t fired_at = 0;
+  std::uint32_t a0_at_fire = 0;
+  vm.core.arm_fault(27, [&](rv::Core<W>& c) {
+    fired_at = c.instret();
+    a0_at_fire = rv::WordOps<W>::value(c.reg(a0));
+  });
+  vm.core.run(60);
+  EXPECT_FALSE(vm.core.fault_armed());
+  EXPECT_EQ(fired_at, 27u);
+  EXPECT_EQ(a0_at_fire, 26u);  // 20 addis, the jump, 6 addis
+  EXPECT_EQ(vm.core.instret(), 60u);
+  if constexpr (rv::WordOps<W>::kTainted) {
+    const auto& s = vm.core.stats();
+    EXPECT_EQ(s.plain_variant_hits == 0, tainted_dispatch);
+    EXPECT_EQ(s.tainted_variant_hits == 0, !tainted_dispatch);
+  }
+}
+
+TEST(BlockEngine, ArmedFaultFiresAtExactInstretInsideABlock) {
+  {
+    SCOPED_TRACE("VP");
+    expect_fault_fires_mid_block<rv::PlainWord>(false);
+  }
+  {
+    SCOPED_TRACE("VP+ plain variant");
+    expect_fault_fires_mid_block<rv::TaintedWord>(false);
+  }
+  {
+    SCOPED_TRACE("VP+ tainted variant");
+    expect_fault_fires_mid_block<rv::TaintedWord>(true);
+  }
+}
+
+// A straight-line run of kMaxBlockOps (64) ops is one block and runs as one
+// dispatch: one chain 64 ops long.
+template <typename W>
+void expect_64_op_block_is_one_dispatch() {
+  MicroVm<W> vm;
+  rvasm::Assembler a(MicroVm<W>::kBase);
+  for (int i = 0; i < 64; ++i) a.addi(a0, a0, 1);
+  a.label("spin");
+  a.j("spin");
+  vm.load(a.assemble());
+  vm.core.run(64);
+  EXPECT_EQ(rv::WordOps<W>::value(vm.core.reg(a0)), 64u);
+  EXPECT_EQ(vm.core.instret(), 64u);
+  EXPECT_EQ(vm.core.pc(), MicroVm<W>::kBase + 64 * 4);
+  const auto& s = vm.core.stats();
+  EXPECT_EQ(s.decode_misses, 64u);
+  EXPECT_EQ(s.block_misses + s.block_hits + s.chained_transfers, 1u);
+  if constexpr (rv::WordOps<W>::kTainted) {
+    EXPECT_EQ(s.plain_variant_hits, 1u);
+  }
+}
+
+TEST(BlockEngine, SixtyFourOpBlockRunsAsOneDispatch) {
+  expect_64_op_block_is_one_dispatch<rv::PlainWord>();
+  expect_64_op_block_is_one_dispatch<rv::TaintedWord>();
+}
+
+// An enforcement violation thrown by the third op of a warm block unwinds
+// through the chain. The two ops before it retired; the refused one counts
+// as fetched and decoded but not retired, like on the per-instruction
+// engine.
+TEST(BlockEngine, ViolationMidChainKeepsRetirementAndCounters) {
+  dift::Lattice::Builder lb;
+  const dift::Tag lo = lb.add_class("LO");
+  const dift::Tag hi = lb.add_class("HI");
+  lb.add_flow(lo, hi);
+  const dift::Lattice lattice = lb.build();
+  dift::SecurityPolicy policy(lattice);
+  policy.set_execution_clearance({hi, std::nullopt, lo});
+  dift::DiftContext ctx(lattice);
+  using Ops = rv::WordOps<rv::TaintedWord>;
+
+  TaintVm vm;
+  rvasm::Assembler a(TaintVm::kBase);
+  a.label("top");
+  a.addi(a0, a0, 1);
+  a.addi(a1, a1, 2);
+  a.label("ld");
+  a.lw(a2, s5, 0);  // s5 carries the address; its tag decides
+  a.addi(a3, a3, 1);
+  a.j("top");
+  const auto p = a.assemble();
+  vm.load(p);
+  vm.core.set_policy(&policy);
+  const std::uint32_t addr = static_cast<std::uint32_t>(TaintVm::kBase + 0x8000);
+  vm.core.set_reg(s5, Ops::make(addr, lo));
+  vm.core.run(10);  // two iterations: a cold dispatch, then a chained one
+  const auto& s = vm.core.stats();
+  ASSERT_EQ(vm.core.instret(), 10u);
+  ASSERT_EQ(s.decode_hits, 5u);
+  ASSERT_EQ(s.fetch_summary_hits, 10u);
+
+  vm.core.set_reg(s5, Ops::make(addr, hi));
+  try {
+    vm.core.run(10);
+    ADD_FAILURE() << "HI load address was not refused";
+  } catch (const dift::PolicyViolation& v) {
+    EXPECT_EQ(v.kind(), dift::ViolationKind::kMemAddrClearance);
+    EXPECT_EQ(v.pc(), p.symbol("ld"));
+  }
+  EXPECT_EQ(vm.core.instret(), 12u);
+  EXPECT_EQ(vm.core.pc(), p.symbol("ld"));
+  EXPECT_EQ(s.decode_hits, 8u);
+  EXPECT_EQ(s.fetch_summary_hits, 13u);
+  EXPECT_EQ(vm.reg(a0), 3u);
+  EXPECT_EQ(vm.reg(a1), 6u);
+  EXPECT_EQ(vm.reg(a3), 2u);
+}
+
 }  // namespace

@@ -163,9 +163,10 @@ TEST_P(LatticeAxioms, FlowIsTransitive) {
   for (Tag a = 0; a < n; ++a)
     for (Tag b = 0; b < n; ++b)
       for (Tag c = 0; c < n; ++c)
-        if (l.allowed_flow(a, b) && l.allowed_flow(b, c))
+        if (l.allowed_flow(a, b) && l.allowed_flow(b, c)) {
           EXPECT_TRUE(l.allowed_flow(a, c))
               << l.name_of(a) << "->" << l.name_of(b) << "->" << l.name_of(c);
+        }
 }
 
 TEST_P(LatticeAxioms, LubIsCommutativeIdempotentAndUpperBound) {
@@ -188,9 +189,11 @@ TEST_P(LatticeAxioms, LubIsLeast) {
   for (Tag a = 0; a < n; ++a)
     for (Tag b = 0; b < n; ++b) {
       const Tag j = l.lub(a, b);
-      for (Tag c = 0; c < n; ++c)
-        if (l.allowed_flow(a, c) && l.allowed_flow(b, c))
+      for (Tag c = 0; c < n; ++c) {
+        if (l.allowed_flow(a, c) && l.allowed_flow(b, c)) {
           EXPECT_TRUE(l.allowed_flow(j, c));
+        }
+      }
     }
 }
 
@@ -208,18 +211,23 @@ TEST_P(LatticeAxioms, LubMonotoneWithFlow) {
   const Lattice l = make(GetParam());
   const auto n = static_cast<Tag>(l.size());
   for (Tag a = 0; a < n; ++a)
-    for (Tag b = 0; b < n; ++b)
-      if (l.allowed_flow(a, b))
+    for (Tag b = 0; b < n; ++b) {
+      if (l.allowed_flow(a, b)) {
         for (Tag c = 0; c < n; ++c)
           EXPECT_TRUE(l.allowed_flow(l.lub(a, c), l.lub(b, c)));
+      }
+    }
 }
 
 TEST_P(LatticeAxioms, DeclassReachSupersetOfFlow) {
   const Lattice l = make(GetParam());
   const auto n = static_cast<Tag>(l.size());
   for (Tag a = 0; a < n; ++a)
-    for (Tag b = 0; b < n; ++b)
-      if (l.allowed_flow(a, b)) EXPECT_TRUE(l.allowed_declass(a, b));
+    for (Tag b = 0; b < n; ++b) {
+      if (l.allowed_flow(a, b)) {
+        EXPECT_TRUE(l.allowed_declass(a, b));
+      }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Family, LatticeAxioms, ::testing::Range(0, 6));

@@ -8,7 +8,12 @@
 //    twice with two different input *values*; every register whose final
 //    value differs between the runs is data-dependent on the input and must
 //    therefore carry a non-bottom tag in the tainted run.
-// 3. Register-access width fuzzing: randomized 1..8-byte reads/writes at the
+// 3. Fast vs careful: each program runs on the VP+ once as is (threaded
+//    block chains) and once with a trace buffer attached (the careful per-
+//    instruction path), with all-⊥ inputs (plain variant) and with one
+//    tagged input (tainted variant); values, tags, memory and the path-
+//    independent engine counters must agree.
+// 4. Register-access width fuzzing: randomized 1..8-byte reads/writes at the
 //    DMA and UART register files — oversized accesses must clamp to the
 //    4-byte register width (never shift past it: UB) and reads must always
 //    fill the whole payload (bytes beyond the register read as zero).
@@ -21,6 +26,7 @@
 #include "campaign/thread_pool.hpp"
 #include "dift/context.hpp"
 #include "micro_vm.hpp"
+#include "rv/trace.hpp"
 #include "soc/dma.hpp"
 #include "soc/uart.hpp"
 
@@ -187,6 +193,100 @@ TEST_P(FuzzSeeds, DynamicTaintSoundness) {
   }
 }
 
+// Everything one VP+ run leaves behind that must not depend on whether its
+// blocks ran as threaded chains or on the careful path.
+struct VpPlusOutcome {
+  std::array<std::uint32_t, 32> values{};
+  std::array<dift::Tag, 32> tags{};
+  std::uint32_t pc = 0;
+  std::uint64_t instret = 0;
+  std::vector<std::uint8_t> scratch;
+  std::vector<dift::Tag> scratch_tags;
+  dift::DiftStats stats;
+  std::uint64_t lub_calls = 0;  ///< counted by the active DiftContext
+};
+
+VpPlusOutcome run_vp_plus(const rvasm::Program& p, const dift::DiftContext& ctx,
+                          const dift::SecurityPolicy& policy,
+                          const std::array<std::uint32_t, 8>& inputs,
+                          dift::Tag x5_tag, bool careful) {
+  using Ops = rv::WordOps<rv::TaintedWord>;
+  MicroVm<rv::TaintedWord> vm;
+  rv::TraceBuffer trace(64);
+  if (careful) vm.core.set_trace(&trace);
+  vm.core.set_policy(&policy);
+  vm.load(p);
+  for (int i = 0; i < 8; ++i)
+    vm.core.set_reg(static_cast<std::uint8_t>(5 + i),
+                    Ops::make(inputs[i], i == 0 ? x5_tag : dift::kBottomTag));
+  const std::uint64_t lub_before = ctx.lub_calls();
+  vm.core.run(4000);
+  VpPlusOutcome out;
+  out.lub_calls = ctx.lub_calls() - lub_before;
+  for (int r = 0; r < 32; ++r) {
+    out.values[r] = Ops::value(vm.core.reg(static_cast<std::uint8_t>(r)));
+    out.tags[r] = Ops::tag(vm.core.reg(static_cast<std::uint8_t>(r)));
+  }
+  out.pc = vm.core.pc();
+  out.instret = vm.core.instret();
+  const std::size_t off = p.symbol("scratch") - MicroVm<rv::TaintedWord>::kBase;
+  out.scratch.assign(vm.ram.dmi_data() + off, vm.ram.dmi_data() + off + 256);
+  out.scratch_tags.assign(vm.ram.tags() + off, vm.ram.tags() + off + 256);
+  out.stats = vm.core.stats();
+  return out;
+}
+
+TEST_P(FuzzSeeds, ThreadedChainsMatchCarefulPath) {
+  const dift::Lattice l = dift::Lattice::ifp1();
+  dift::DiftContext ctx(l);
+  const dift::Tag hc = l.tag_of("HC");
+  // Fetch clearance only: ⊥ code is cleared, so the fetch counters tick on
+  // both paths, and no handler check can refuse a fuzzed operand.
+  dift::SecurityPolicy policy(l);
+  policy.set_execution_clearance({hc, std::nullopt, std::nullopt});
+  ProgramFuzzer fuzzer(GetParam() + 2000);
+  const auto prog = fuzzer.generate(300);
+  std::mt19937 vals(GetParam() ^ 0x7e57);
+  std::array<std::uint32_t, 8> inputs;
+  for (auto& v : inputs) v = vals();
+
+  for (const dift::Tag x5_tag : {dift::kBottomTag, hc}) {
+    SCOPED_TRACE(x5_tag == hc ? "tagged x5 (tainted variant)"
+                              : "all-bottom inputs (plain variant)");
+    const auto fast = run_vp_plus(prog, ctx, policy, inputs, x5_tag, false);
+    const auto careful = run_vp_plus(prog, ctx, policy, inputs, x5_tag, true);
+    for (int r = 0; r < 32; ++r) {
+      EXPECT_EQ(fast.values[r], careful.values[r]) << "x" << r;
+      EXPECT_EQ(fast.tags[r], careful.tags[r]) << "x" << r;
+    }
+    EXPECT_EQ(fast.pc, careful.pc);
+    EXPECT_EQ(fast.instret, careful.instret);
+    EXPECT_EQ(fast.scratch, careful.scratch);
+    EXPECT_EQ(fast.scratch_tags, careful.scratch_tags);
+    // The careful path dispatches every block tainted and checks the span's
+    // fetch clearance on each dispatch, so the variant split and
+    // flow_checks legitimately differ; every other counter must not.
+    const auto& f = fast.stats;
+    const auto& c = careful.stats;
+    EXPECT_EQ(f.decode_hits, c.decode_hits);
+    EXPECT_EQ(f.decode_misses, c.decode_misses);
+    EXPECT_EQ(f.block_hits, c.block_hits);
+    EXPECT_EQ(f.block_misses, c.block_misses);
+    EXPECT_EQ(f.block_invalidations, c.block_invalidations);
+    EXPECT_EQ(f.chained_transfers, c.chained_transfers);
+    EXPECT_EQ(f.fetch_summary_hits, c.fetch_summary_hits);
+    EXPECT_EQ(f.load_summary_hits, c.load_summary_hits);
+    EXPECT_EQ(fast.lub_calls, careful.lub_calls);
+    // The tagged run starts tainted; once the program overwrites every
+    // tagged value it may go back to the plain variant.
+    if (x5_tag == dift::kBottomTag) {
+      EXPECT_EQ(f.tainted_variant_hits, 0u);
+    } else {
+      EXPECT_GT(f.tainted_variant_hits, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzSeeds,
                          ::testing::Range(0u, 25u));
 
@@ -277,9 +377,10 @@ TEST(RegisterWidthFuzz, OversizedDmaAndUartAccessesClamp) {
       for (std::uint32_t i = 4; i < n; ++i)
         ASSERT_EQ(buf[i], 0u) << "tail byte " << i << " of read @" << std::hex
                               << addr << " not clamped to zero";
-      if (p.tainted())
+      if (p.tainted()) {
         for (std::uint32_t i = 0; i < n; ++i)
           ASSERT_EQ(tags[i], dift::kBottomTag);
+      }
     }
   }
 }
