@@ -312,9 +312,10 @@ VpT& VpPool::acquire(const vp::VpConfig& cfg, std::uint64_t fw_key) {
   }
   if (*slot && vp::config_equivalent((*slot)->config(), cfg)) {
     // Unchanged firmware content → the translated blocks stay valid after
-    // the re-arm reloads the identical bytes; keep them warm. (Translations
-    // revalidate against the raw bytes on dispatch regardless, so a key
-    // collision degrades to correctness-preserving rebuild-on-mismatch.)
+    // the re-arm reloads the identical bytes; keep them warm. (The reload
+    // moves the code-write epoch, so each block compares its raw bytes on
+    // its next entry and a key collision degrades to a correctness-
+    // preserving rebuild-on-mismatch.)
     const bool warm_code = fw_key != 0 && fw_key == *last_key;
     (*slot)->reset(warm_code);
     ++reuses_;

@@ -38,9 +38,6 @@ inline auto Core<W>::dmi_load(std::uint64_t off) -> MemAccess {
 template <typename W>
 template <std::uint32_t SZ, bool TAGS>
 inline void Core<W>::dmi_store(std::uint64_t off, std::uint32_t value, Tag tag) {
-  // Forward store into the remainder of the executing block: the dispatch
-  // must abandon its stale micro-ops and re-translate.
-  if (off < cur_block_hi_ && off + SZ > cur_block_lo_) smc_break_ = true;
   std::memcpy(dmi_data_ + off, &value, SZ);  // host is little-endian
   dmi_written_[off >> kWrittenPageShift] = 1;
   if constexpr (SZ > 1) dmi_written_[(off + SZ - 1) >> kWrittenPageShift] = 1;
@@ -215,8 +212,15 @@ struct CoreOps {
       return v;
   }
 
-  template <std::uint32_t SZ, bool SIGN, bool PLAIN = false>
-  static void h_load(C& c, const Insn& d) {
+  // Loads and stores come in two halves. The DMI half (dmi_ld/dmi_st)
+  // returns false, having changed nothing but a monitor-mode record of the
+  // address check, when the access needs the bus half (bus_ld/bus_st): an
+  // address outside the DMI window, a protected store, or a store into a
+  // marked code line. The handler (h_mem) runs one after the other; the
+  // threaded entry (th_mem) enters the out-of-line bus half with a tail
+  // call, so the DMI path needs no stack frame.
+  template <std::uint32_t SZ, bool SIGN, bool PLAIN>
+  static bool dmi_ld(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
     if constexpr (kT && !PLAIN) {
       if (c.exec_.mem_addr)
@@ -224,21 +228,25 @@ struct CoreOps {
                          ViolationKind::kMemAddrClearance, c.pc_, addr,
                          "core.lsu");
     }
-    if (c.dmi_covers(addr, SZ)) {
-      const std::uint64_t off = addr - c.dmi_base_;
-      if constexpr (kT && PLAIN) {
-        // The plane is uniformly ⊥ (plain-state invariant), so the result
-        // tag is ⊥ and the summary hit is unconditional — the counter
-        // stays in lockstep with the tainted variant.
-        const auto m = c.template dmi_load<SZ, false>(off);
-        ++c.stats_.load_summary_hits;
-        c.wr(d.rd, extend<SZ, SIGN>(m.value), dift::kBottomTag);
-      } else {
-        const auto m = c.template dmi_load<SZ, kT>(off);
-        c.wr(d.rd, extend<SZ, SIGN>(m.value), m.tag);
-      }
-      return;
+    if (!c.dmi_covers(addr, SZ)) return false;
+    const std::uint64_t off = addr - c.dmi_base_;
+    if constexpr (kT && PLAIN) {
+      // The plane is uniformly ⊥ (plain-state invariant), so the result
+      // tag is ⊥ and the summary hit is unconditional — the counter
+      // stays in lockstep with the tainted variant.
+      const auto m = c.template dmi_load<SZ, false>(off);
+      ++c.stats_.load_summary_hits;
+      c.wr(d.rd, extend<SZ, SIGN>(m.value), dift::kBottomTag);
+    } else {
+      const auto m = c.template dmi_load<SZ, kT>(off);
+      c.wr(d.rd, extend<SZ, SIGN>(m.value), m.tag);
     }
+    return true;
+  }
+
+  template <std::uint32_t SZ, bool SIGN, bool PLAIN>
+  [[gnu::noinline]] static void bus_ld(C& c, const Insn& d) {
+    const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
     const auto m = c.load(addr, SZ, SIGN);
     if (m.fault) {
       c.take_trap(kCauseLoadAccessFault, addr);
@@ -253,8 +261,8 @@ struct CoreOps {
     }
   }
 
-  template <std::uint32_t SZ, bool PLAIN = false>
-  static void h_store(C& c, const Insn& d) {
+  template <std::uint32_t SZ, bool PLAIN>
+  static bool dmi_st(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
     if constexpr (kT && !PLAIN) {
       if (c.exec_.mem_addr)
@@ -262,20 +270,35 @@ struct CoreOps {
                          ViolationKind::kMemAddrClearance, c.pc_, addr,
                          "core.lsu");
     }
-    const std::uint32_t value = c.rv(d.rs2);
     // The plain variant stores ⊥-tagged data over a ⊥ plane, which leaves
     // plane and summary untouched, and plain_state() verified every
     // store-protection clearance admits ⊥ — no checks needed. The tainted
     // variant leaves the DMI shortcut to store() while store protection is
     // configured, so the check stays in one place.
+    if (!c.dmi_covers(addr, SZ) || (kT && !PLAIN && c.has_store_prot_)) return false;
+    const std::uint64_t off = addr - c.dmi_base_;
+    if (c.template code_hit<SZ>(off)) return false;
+    c.template dmi_store<SZ, kT && !PLAIN>(off, c.rv(d.rs2), c.rt(d.rs2));
+    return true;
+  }
+
+  template <std::uint32_t SZ, bool PLAIN>
+  [[gnu::noinline]] static void bus_st(C& c, const Insn& d) {
+    const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
+    const Tag tag = PLAIN ? dift::kBottomTag : c.rt(d.rs2);
     if (c.dmi_covers(addr, SZ) && (!kT || PLAIN || !c.has_store_prot_)) {
-      c.template dmi_store<SZ, kT && !PLAIN>(addr - c.dmi_base_, value,
-                                             c.rt(d.rs2));
+      // Into a marked code line.
+      c.code_write(addr - c.dmi_base_, SZ);
+      c.template dmi_store<SZ, kT && !PLAIN>(addr - c.dmi_base_, c.rv(d.rs2), tag);
       return;
     }
     // MMIO store (peripheral clearances) or protected store.
-    if (c.store(addr, value, PLAIN ? dift::kBottomTag : c.rt(d.rs2), SZ))
-      c.take_trap(kCauseStoreAccessFault, addr);
+    if (c.store(addr, c.rv(d.rs2), tag, SZ)) c.take_trap(kCauseStoreAccessFault, addr);
+  }
+
+  template <bool (*DMI)(C&, const Insn&), Fn BUS>
+  static void h_mem(C& c, const Insn& d) {
+    if (!DMI(c, d)) BUS(c, d);
   }
 
   static void h_lui(C& c, const Insn& d) {
@@ -329,50 +352,100 @@ struct CoreOps {
 
   // ---- threaded dispatch ----
   //
-  // th<H> is the micro-op entry of the cleared block path: it runs handler
-  // H, retires the op, and unless one of the exit rules below holds, enters
-  // the next micro-op of the block with a tail call, so a dispatch is one
-  // chain of indirect jumps. The chain returns to exec_cleared() when
+  // th<H> is the micro-op entry of the cleared block path: it sets `pc_`
+  // and `next_pc_` from the op, runs handler H, and unless one of the exit
+  // rules below holds, enters the next micro-op of the block with a tail
+  // call, so a dispatch is one chain of indirect jumps. The chain returns
+  // the op it ended at to exec_cleared() when
   //  * the op is the last one of this dispatch (`th_last_`, which carries
   //    the budget clamp, so a pending fault trigger stops it exactly);
-  //  * the op trapped (only loads, stores and branches can trap mid-block;
-  //    every other trapping op is a terminator and so the last op anyway);
-  //  * a conditional branch (CF) was taken;
-  //  * a load or store (MEM) raised an enabled interrupt, wrote into the
-  //    executing block (`smc_break_`) or, on the plain variant, brought in
-  //    a live tag (`taint_break_`).
+  //  * a conditional branch (CF) trapped or was taken (every other
+  //    trapping op is a load, a store or a terminator);
+  //  * after a load or store (MEM), an enabled interrupt is pending;
+  //  * a load or store took its bus half (BUS) and trapped, wrote into
+  //    the executing block (`smc_break_`) or, on the plain variant,
+  //    brought in a live tag (`taint_break_`). A DMI access can do none
+  //    of these.
+  // No entry touches `instret_`: exec_cleared() retires the chain's ops at
+  // its exit. The CSR entry (CSR), whose handler reads `instret_` through
+  // the counter CSRs, first counts the ops of the chain before it.
   // g++ -O2 compiles the tail call to `jmp *`. Without tail calls (-O0)
   // the chain recurses instead, at most kMaxBlockOps frames deep.
-  template <Fn H, bool PLAIN, bool MEM, bool CF>
-  static void th(C& c, const MicroOp& op) {
-    const std::uint32_t seq = c.next_pc_;
-    H(c, op.insn);
-    c.pc_ = c.next_pc_;
-    ++c.instret_;
-    if (&op == c.th_last_) return;
-    if constexpr (MEM || CF) {
-      if (c.trapped_) return;
+  template <bool PLAIN, bool CF, bool MEM, bool BUS>
+  [[gnu::always_inline]] static const MicroOp* chain(C& c, const MicroOp& op,
+                                                      std::uint32_t seq) {
+    if (&op == c.th_last_) return &op;
+    if constexpr (BUS || CF) {
+      if (c.trapped_) return &op;
     }
     if constexpr (CF) {
-      if (c.pc_ != seq) return;  // taken branch left the block
+      if (c.next_pc_ != seq) return &op;  // taken branch left the block
     }
     if constexpr (MEM) {
-      if ((c.csrs_.mip & c.csrs_.mie) != 0 || c.smc_break_ ||
-          (PLAIN && c.taint_break_))
-        return;
+      if ((c.csrs_.mip & c.csrs_.mie) != 0) return &op;
+    }
+    if constexpr (BUS) {
+      if (c.smc_break_ || (PLAIN && c.taint_break_)) return &op;
     }
     const MicroOp& next = (&op)[1];
-    c.next_pc_ = c.pc_ + next.insn.len;
     return (PLAIN ? next.fast : next.fn)(c, next);
+  }
+
+  template <Fn H, bool PLAIN, bool CF, bool CSR>
+  static const MicroOp* th(C& c, const MicroOp& op) {
+    const std::uint32_t seq = op.pc + op.insn.len;
+    c.pc_ = op.pc;
+    c.next_pc_ = seq;
+    if constexpr (CSR) {
+      c.instret_ += static_cast<std::uint64_t>(&op - c.th_first_);
+      c.th_first_ = &op;
+    }
+    H(c, op.insn);
+    return chain<PLAIN, CF, false, false>(c, op, seq);
+  }
+
+  template <bool (*DMI)(C&, const Insn&), Fn BUS, bool PLAIN>
+  static const MicroOp* th_mem(C& c, const MicroOp& op) {
+    const std::uint32_t seq = op.pc + op.insn.len;
+    c.pc_ = op.pc;
+    c.next_pc_ = seq;
+    if (!DMI(c, op.insn)) [[unlikely]]
+      return th_bus<BUS, PLAIN>(c, op);
+    return chain<PLAIN, false, true, false>(c, op, seq);
+  }
+
+  template <Fn BUS, bool PLAIN>
+  [[gnu::noinline]] static const MicroOp* th_bus(C& c, const MicroOp& op) {
+    BUS(c, op.insn);
+    return chain<PLAIN, false, true, true>(c, op, op.pc + op.insn.len);
   }
 
   // Table entry for full handler H and plain-variant handler HF. The plain
   // core has no variant split: its plain slot aliases the full entry.
-  template <Fn H, Fn HF = H, bool MEM = false, bool CF = false>
+  template <Fn H, Fn HF = H, bool CF = false, bool CSR = false>
   static constexpr OpInfo info() {
-    ThreadFn fast = &th<H, false, MEM, CF>;
-    if constexpr (kT) fast = &th<HF, true, MEM, CF>;
-    return {H, &th<H, false, MEM, CF>, fast, MEM, CF, false};
+    ThreadFn fast = &th<H, false, CF, CSR>;
+    if constexpr (kT) fast = &th<HF, true, CF, CSR>;
+    return {H, &th<H, false, CF, CSR>, fast, false, CF, false};
+  }
+
+  // Table entry for a load or store: DMI and bus halves of the full (D, B)
+  // and of the plain variant (DP, BP).
+  template <bool (*D)(C&, const Insn&), Fn B, bool (*DP)(C&, const Insn&), Fn BP>
+  static constexpr OpInfo info_mem() {
+    ThreadFn fast = &th_mem<D, B, false>;
+    if constexpr (kT) fast = &th_mem<DP, BP, true>;
+    return {&h_mem<D, B>, &th_mem<D, B, false>, fast, true, false, false};
+  }
+  template <std::uint32_t SZ, bool SIGN>
+  static constexpr OpInfo info_ld() {
+    return info_mem<&dmi_ld<SZ, SIGN, false>, &bus_ld<SZ, SIGN, false>,
+                    &dmi_ld<SZ, SIGN, true>, &bus_ld<SZ, SIGN, true>>();
+  }
+  template <std::uint32_t SZ>
+  static constexpr OpInfo info_st() {
+    return info_mem<&dmi_st<SZ, false>, &bus_st<SZ, false>, &dmi_st<SZ, true>,
+                    &bus_st<SZ, true>>();
   }
 
   // ---- dispatch table, indexed by Op ----
@@ -398,20 +471,20 @@ struct CoreOps {
     set(Op::kAuipc, info<&h_auipc>());
     set(Op::kJal, info<&h_jal>());
     set(Op::kJalr, info<&h_jalr>());
-    set(Op::kBeq, info<&h_br<&p_eq>, &h_br<&p_eq, true>, false, true>());
-    set(Op::kBne, info<&h_br<&p_ne>, &h_br<&p_ne, true>, false, true>());
-    set(Op::kBlt, info<&h_br<&p_lt>, &h_br<&p_lt, true>, false, true>());
-    set(Op::kBge, info<&h_br<&p_ge>, &h_br<&p_ge, true>, false, true>());
-    set(Op::kBltu, info<&h_br<&p_ltu>, &h_br<&p_ltu, true>, false, true>());
-    set(Op::kBgeu, info<&h_br<&p_geu>, &h_br<&p_geu, true>, false, true>());
-    set(Op::kLb, info<&h_load<1, true>, &h_load<1, true, true>, true>());
-    set(Op::kLh, info<&h_load<2, true>, &h_load<2, true, true>, true>());
-    set(Op::kLw, info<&h_load<4, false>, &h_load<4, false, true>, true>());
-    set(Op::kLbu, info<&h_load<1, false>, &h_load<1, false, true>, true>());
-    set(Op::kLhu, info<&h_load<2, false>, &h_load<2, false, true>, true>());
-    set(Op::kSb, info<&h_store<1>, &h_store<1, true>, true>());
-    set(Op::kSh, info<&h_store<2>, &h_store<2, true>, true>());
-    set(Op::kSw, info<&h_store<4>, &h_store<4, true>, true>());
+    set(Op::kBeq, info<&h_br<&p_eq>, &h_br<&p_eq, true>, true>());
+    set(Op::kBne, info<&h_br<&p_ne>, &h_br<&p_ne, true>, true>());
+    set(Op::kBlt, info<&h_br<&p_lt>, &h_br<&p_lt, true>, true>());
+    set(Op::kBge, info<&h_br<&p_ge>, &h_br<&p_ge, true>, true>());
+    set(Op::kBltu, info<&h_br<&p_ltu>, &h_br<&p_ltu, true>, true>());
+    set(Op::kBgeu, info<&h_br<&p_geu>, &h_br<&p_geu, true>, true>());
+    set(Op::kLb, info_ld<1, true>());
+    set(Op::kLh, info_ld<2, true>());
+    set(Op::kLw, info_ld<4, false>());
+    set(Op::kLbu, info_ld<1, false>());
+    set(Op::kLhu, info_ld<2, false>());
+    set(Op::kSb, info_st<1>());
+    set(Op::kSh, info_st<2>());
+    set(Op::kSw, info_st<4>());
     set(Op::kAddi, info<&h_ri<&f_add>, &h_ri<&f_add, true>>());
     set(Op::kSlti, info<&h_ri<&f_slt>, &h_ri<&f_slt, true>>());
     set(Op::kSltiu, info<&h_ri<&f_sltu>, &h_ri<&f_sltu, true>>());
@@ -442,12 +515,12 @@ struct CoreOps {
     set(Op::kDivu, info<&h_rr<&f_divu>, &h_rr<&f_divu, true>>());
     set(Op::kRem, info<&h_rr<&f_rem>, &h_rr<&f_rem, true>>());
     set(Op::kRemu, info<&h_rr<&f_remu>, &h_rr<&f_remu, true>>());
-    set(Op::kCsrrw, info<&h_csr>());
-    set(Op::kCsrrs, info<&h_csr>());
-    set(Op::kCsrrc, info<&h_csr>());
-    set(Op::kCsrrwi, info<&h_csr>());
-    set(Op::kCsrrsi, info<&h_csr>());
-    set(Op::kCsrrci, info<&h_csr>());
+    set(Op::kCsrrw, info<&h_csr, &h_csr, false, true>());
+    set(Op::kCsrrs, info<&h_csr, &h_csr, false, true>());
+    set(Op::kCsrrc, info<&h_csr, &h_csr, false, true>());
+    set(Op::kCsrrwi, info<&h_csr, &h_csr, false, true>());
+    set(Op::kCsrrsi, info<&h_csr, &h_csr, false, true>());
+    set(Op::kCsrrci, info<&h_csr, &h_csr, false, true>());
     set(Op::kMret, info<&h_mret>());
     set(Op::kWfi, info<&h_wfi>());
     return t;
@@ -462,15 +535,29 @@ Core<W>::Core(std::string name) : name_(std::move(name)) {}
 
 template <typename W>
 void Core<W>::set_dmi(std::uint8_t* data, Tag* tags, std::uint8_t* written,
+                      std::uint8_t* code_lines, std::uint64_t* code_epoch,
                       std::uint64_t base, std::uint64_t size,
                       dift::ShadowSummary* shadow) {
+  invalidate_blocks();  // unmarks the lines of the previous window
   dmi_data_ = data;
   dmi_tags_ = tags;
   dmi_written_ = written;
+  code_lines_ = code_lines;
+  code_epoch_ = code_epoch;
   dmi_base_ = base;
   dmi_size_ = size;
   shadow_ = shadow;
-  invalidate_blocks();
+}
+
+template <typename W>
+void Core<W>::invalidate_blocks() {
+  blocks_.clear();
+  if (code_lo_ < code_hi_)
+    std::memset(code_lines_ + code_lo_, 0, code_hi_ - code_lo_);
+  code_lo_ = ~std::uint64_t{0};
+  code_hi_ = 0;
+  cur_block_lo_ = cur_block_hi_ = 0;
+  smc_break_ = false;
 }
 
 template <typename W>
@@ -579,6 +666,8 @@ bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
   }
   if (dmi_covers(addr, size)) {
     const std::uint64_t off = addr - dmi_base_;
+    if (size == 1 ? code_hit<1>(off) : size == 2 ? code_hit<2>(off) : code_hit<4>(off))
+      code_write(off, size);
     switch (size) {
       case 1: dmi_store<1, kTainted>(off, value, tag); break;
       case 2: dmi_store<2, kTainted>(off, value, tag); break;
@@ -601,8 +690,8 @@ bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
   p.set_tag_summary(tag);  // tbuf was filled uniformly above
   sysc::Time delay;
   // The block goes on: a peripheral write cannot change code memory before
-  // this quantum ends (DMA copies run in the DMA thread, and the raw-byte
-  // revalidation on block entry catches them), and an interrupt it raises
+  // this quantum ends (DMA copies run in the DMA thread, and move the
+  // code-write epoch like every RAM writer), and an interrupt it raises
   // at once is caught by the mip & mie test after every memory micro-op.
   transport_with_pc(p, delay);
   return !p.ok();
@@ -717,27 +806,6 @@ void Core<W>::execute(const Insn& d) {
 // Block translation engine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Byte-exact revalidation of a cached block against the current code bytes —
-// memcmp semantics, but inlined word-wise: block entry is the hottest edge in
-// the ISS and the libc call overhead is measurable on 2-4 op blocks.
-inline bool raw_match(const std::uint8_t* mem, const std::uint8_t* snap,
-                      std::uint32_t len) {
-  std::uint32_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t a, b;
-    std::memcpy(&a, mem + i, 8);
-    std::memcpy(&b, snap + i, 8);
-    if (a != b) return false;
-  }
-  for (; i < len; ++i)
-    if (mem[i] != snap[i]) return false;
-  return true;
-}
-
-}  // namespace
-
 template <typename W>
 void Core<W>::build_into(Block& b, std::uint64_t off) {
   b.start_off = off;
@@ -753,13 +821,40 @@ void Core<W>::build_into(Block& b, std::uint64_t off) {
     std::memcpy(&raw, dmi_data_ + cur, 4);  // host is little-endian
     const Insn insn = decode_any(raw);
     const auto& e = CoreOps<W>::entry(insn.op);
-    b.ops.push_back(MicroOp{insn, e.th, e.th_fast});
+    b.ops.push_back(
+        MicroOp{insn, e.th, e.th_fast, static_cast<std::uint32_t>(dmi_base_ + cur)});
     cur += insn.len;
     ++stats_.decode_misses;
     if (e.terminator) break;
   }
   b.byte_len = static_cast<std::uint32_t>(cur - off);
   b.raw.assign(dmi_data_ + off, dmi_data_ + cur);
+  // From here on every writer of the block's lines moves the epoch, so the
+  // block is current until the epoch moves.
+  if (cur > off) {
+    const std::uint64_t lo = off >> kCodeLineShift;
+    const std::uint64_t hi = ((cur - 1) >> kCodeLineShift) + 1;
+    std::memset(code_lines_ + lo, 1, hi - lo);
+    code_lo_ = std::min(code_lo_, lo);
+    code_hi_ = std::max(code_hi_, hi);
+  }
+  b.epoch = *code_epoch_;
+}
+
+template <typename W>
+bool Core<W>::revalidate(Block& b) {
+  if (std::memcmp(dmi_data_ + b.start_off, b.raw.data(), b.byte_len) != 0)
+    return false;
+  b.epoch = *code_epoch_;
+  return true;
+}
+
+template <typename W>
+void Core<W>::code_write(std::uint64_t off, std::uint32_t size) {
+  ++*code_epoch_;
+  // Forward store into the remainder of the executing block: the dispatch
+  // must abandon its stale micro-ops and re-translate.
+  if (off < cur_block_hi_ && off + size > cur_block_lo_) smc_break_ = true;
 }
 
 template <typename W>
@@ -784,7 +879,7 @@ auto Core<W>::lookup_block(std::uint64_t off, bool& fresh) -> Block* {
     return up.get();
   }
   Block* b = up.get();
-  if (raw_match(dmi_data_ + off, b->raw.data(), b->byte_len)) {
+  if (b->epoch == *code_epoch_ || revalidate(*b)) {
     ++stats_.block_hits;
     fresh = false;
     return b;
@@ -800,7 +895,7 @@ auto Core<W>::lookup_block(std::uint64_t off, bool& fresh) -> Block* {
 // ---------------------------------------------------------------------------
 
 template <typename W>
-bool Core<W>::plain_state() {
+inline bool Core<W>::plain_state() {
   // Pure function of architectural state (the sticky reg_tag_or_ bit is
   // re-verified against the registers before it can disable the plain
   // path), so warm/cold caches, snapshot forks and replays all make the
@@ -813,24 +908,31 @@ bool Core<W>::plain_state() {
     if (!shadow_ || !shadow_->all_bottom()) return false;
     if (reg_tag_or_ != dift::kBottomTag) {
       if (Ops::tag(regs_[reg_tag_hint_]) != dift::kBottomTag) return false;
-      for (std::uint8_t r = 0; r < 32; ++r) {
-        if (Ops::tag(regs_[r]) != dift::kBottomTag) {
-          reg_tag_hint_ = r;
-          return false;
-        }
-      }
-      reg_tag_or_ = dift::kBottomTag;
+      if (!rescan_reg_tags()) return false;
     }
     return plain_ok_;
   }
 }
 
 template <typename W>
+bool Core<W>::rescan_reg_tags() {
+  for (std::uint8_t r = 0; r < 32; ++r) {
+    if (Ops::tag(regs_[r]) != dift::kBottomTag) {
+      reg_tag_hint_ = r;
+      return false;
+    }
+  }
+  reg_tag_or_ = dift::kBottomTag;
+  return true;
+}
+
+template <typename W>
 template <bool PLAIN>
-std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n, bool fresh) {
+inline std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n,
+                                           bool fresh) {
   // No per-instruction fetch checks, no trace test: one call into the first
   // micro-op's threaded entry runs the dispatch (see CoreOps::th for the
-  // exit rules) and the retirement counter says how far it got.
+  // exit rules), and the op it returns says how far it got.
   const auto retire = [&](std::uint64_t k) {
     if (!fresh) stats_.decode_hits += k;
     if constexpr (kTainted) {
@@ -843,38 +945,33 @@ std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n, bool fresh) {
   smc_break_ = false;
   if constexpr (PLAIN) taint_break_ = false;
   trapped_ = false;
-  const MicroOp& first = b.ops.front();
-  th_last_ = &first + (n - 1);
-  const std::uint64_t base = instret_;
-  next_pc_ = pc_ + first.insn.len;
+  const MicroOp* first = b.ops.data();
+  th_first_ = first;
+  th_last_ = first + (n - 1);
+  const MicroOp* last;
   try {
-    (PLAIN ? first.fast : first.fn)(*this, first);
+    last = (PLAIN ? first->fast : first->fn)(*this, *first);
   } catch (...) {
-    // Enforcement violation inside a handler: the instruction was fetched
-    // and decoded but did not retire — count it like the per-insn engine.
-    retire(instret_ - base + 1);
+    // Enforcement violation inside a handler: the refused op is the one
+    // whose pc its entry published. It was fetched and decoded but did not
+    // retire — count it like the per-insn engine.
+    const MicroOp* refused = first;
+    while (refused != th_last_ && refused->pc != pc_) ++refused;
+    instret_ += static_cast<std::uint64_t>(refused - th_first_);
+    retire(static_cast<std::uint64_t>(refused - first) + 1);
     cur_block_lo_ = cur_block_hi_ = 0;
     throw;
   }
-  const std::uint64_t done = instret_ - base;
+  pc_ = next_pc_;
+  instret_ += static_cast<std::uint64_t>(last - th_first_) + 1;
+  const auto done = static_cast<std::uint64_t>(last - first) + 1;
   retire(done);
   cur_block_lo_ = cur_block_hi_ = 0;
   return done;
 }
 
 template <typename W>
-std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
-                                  bool fresh, bool plain) {
-  const auto n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(b.ops.size(), budget));
-  // Plain variant: plain_state() proved the whole plane ⊥ and every
-  // clearance admits ⊥, so the block is cleared for fetch by construction.
-  if constexpr (kTainted) {
-    if (plain) return exec_cleared<true>(b, n, fresh);
-  } else {
-    (void)plain;  // the plain instantiation has no variant split
-  }
-
+std::uint64_t Core<W>::exec_checked(const Block& b, std::size_t n, bool fresh) {
   // One fetch-clearance check covering the whole block span: a uniformly
   // tagged span whose tag may flow to the clearance skips the
   // per-instruction checks.
@@ -887,10 +984,15 @@ std::uint64_t Core<W>::exec_block(const Block& b, std::uint64_t budget,
     }
   }
   if (cleared && !trace_) return exec_cleared<false>(b, n, fresh);
+  return exec_careful(b, n, fresh, cleared);
+}
 
-  // Careful path: trace attached, or the block span is not uniformly
-  // cleared for fetch — fall back to exact per-instruction checks so
-  // violation pcs and monitor-mode records match single-step execution.
+template <typename W>
+std::uint64_t Core<W>::exec_careful(const Block& b, std::size_t n, bool fresh,
+                                    bool cleared) {
+  // Trace attached, or the block span is not uniformly cleared for fetch:
+  // exact per-instruction checks so violation pcs and monitor-mode records
+  // match single-step execution.
   cur_block_lo_ = b.start_off;
   cur_block_hi_ = b.start_off + b.byte_len;
   smc_break_ = false;
@@ -1031,11 +1133,12 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
       const std::uint64_t off = std::uint64_t(pc_) - dmi_base_;
       bool fresh = false;
       Block* b = nullptr;
-      if (prev && prev->chain && prev->chain_off == off) {
-        // Chained transfer: skip the cache lookup, but still revalidate the
-        // raw bytes (self-modifying code) before trusting the micro-ops.
+      if (prev && prev->chain_off == off) {
+        // Chained transfer: skip the cache lookup (chain_off matches only
+        // while a chain is installed), but trust the micro-ops only while
+        // no write may have changed the block's bytes.
         b = prev->chain;
-        if (raw_match(dmi_data_ + off, b->raw.data(), b->byte_len)) {
+        if (b->epoch == *code_epoch_ || revalidate(*b)) {
           ++stats_.chained_transfers;
         } else {
           build_into(*b, off);
@@ -1058,10 +1161,16 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
         std::uint64_t budget = max_instructions - executed;
         if (fault_armed_ && fault_at_ - instret_ < budget)
           budget = fault_at_ - instret_;
+        const auto n =
+            static_cast<std::size_t>(std::min<std::uint64_t>(b->ops.size(), budget));
         // Taint-liveness gate: while no taint is live anywhere and every
-        // clearance admits ⊥, dispatch the zero-tag-work plain variant.
+        // clearance admits ⊥, dispatch the zero-tag-work plain variant. The
+        // plain dispatch (on the VP, every one without a trace) runs inline;
+        // everything else takes the out-of-line checked path.
         const bool plain = plain_state();
-        const std::uint64_t done = exec_block(*b, budget, fresh, plain);
+        const std::uint64_t done = (kTainted ? plain : !trace_)
+                                       ? exec_cleared<kTainted>(*b, n, fresh)
+                                       : exec_checked(*b, n, fresh);
         executed += done;
         if constexpr (kTainted) {
           if (plain) {
@@ -1075,8 +1184,8 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
           }
         }
         // The chain is a prediction, not a guarantee — the chain_off match
-        // and the raw revalidation on the next entry keep it honest — so any
-        // exit (terminator, taken branch, mem break) may install one.
+        // and the epoch test on the next entry keep it honest — so any exit
+        // (terminator, taken branch, mem break) may install one.
         prev = b;
         continue;
       }

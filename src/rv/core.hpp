@@ -17,8 +17,10 @@
 // in the DMI window is decoded once per straight-line region into micro-ops
 // with threaded handler entries, each of which tail-calls the next, and
 // per-instruction overheads (interrupt-pending test, fetch-clearance check,
-// trace test) are hoisted to block boundaries. Blocks revalidate against
-// the raw instruction bytes so self-modifying code stays correct.
+// trace test) are hoisted to block boundaries. Self-modifying code stays
+// correct through the memory's code-write tracking: a block whose recorded
+// write epoch is current is trusted on entry, any other one is compared
+// against the raw instruction bytes first.
 #pragma once
 
 #include <array>
@@ -64,15 +66,23 @@ class Core {
   /// Direct-memory-interface window over main RAM (`tags` may be null in the
   /// plain build). `written` is the memory's written-page set, one byte per
   /// 2^kWrittenPageShift bytes of the window; every DMI store marks the
-  /// pages it writes (soc::Memory::written_pages()). `shadow` is the
-  /// optional block-summary layer over `tags` (see dift/shadow.hpp); when
-  /// given, the tainted core's load/fetch paths skip the per-byte LUB loop
-  /// on uniform blocks.
+  /// pages it writes (soc::Memory::written_pages()). `code_lines` and
+  /// `code_epoch` are the memory's code-line set, one byte per
+  /// 2^kCodeLineShift bytes, and its code-write epoch
+  /// (soc::Memory::code_lines()/code_epoch()): the core marks the lines of
+  /// every block it translates and bumps the epoch when a DMI store writes a
+  /// marked line; every other writer of the window bumps it too. `shadow`
+  /// is the optional block-summary layer over `tags` (see
+  /// dift/shadow.hpp); when given, the tainted core's load/fetch paths skip
+  /// the per-byte LUB loop on uniform blocks.
   void set_dmi(std::uint8_t* data, dift::Tag* tags, std::uint8_t* written,
+               std::uint8_t* code_lines, std::uint64_t* code_epoch,
                std::uint64_t base, std::uint64_t size,
                dift::ShadowSummary* shadow = nullptr);
   /// Page granularity of the written-page set given to set_dmi().
   static constexpr unsigned kWrittenPageShift = 12;
+  /// Line granularity of the code-line set given to set_dmi().
+  static constexpr unsigned kCodeLineShift = 6;
   /// Installs the security policy (execution clearance + store protection).
   /// Only meaningful for the tainted instantiation.
   void set_policy(const dift::SecurityPolicy* policy);
@@ -144,24 +154,20 @@ class Core {
     fault_fn_ = nullptr;
   }
 
-  /// Drops every cached block translation (and the current-block bounds).
-  /// Required after any RAM mutation that bypasses the store path — e.g.
-  /// snapshot restore memcpys new code bytes straight into the DMI window,
-  /// so `smc_break_` never fires and chained blocks would keep executing
-  /// stale translations.
-  void invalidate_blocks() {
-    blocks_.clear();
-    cur_block_lo_ = cur_block_hi_ = 0;
-    smc_break_ = false;
-  }
+  /// Drops every cached block translation (and the current-block bounds),
+  /// and unmarks the code lines they covered. Snapshot restore calls it so
+  /// a restored world starts with a cold cache; code-write tracking alone
+  /// would keep the translations correct.
+  void invalidate_blocks();
 
   /// Architectural reset: clears registers, CSRs, pending interrupts, the
   /// WFI state, the block cache, and the retirement counter; pc moves to
   /// `reset_pc`. Wiring (bus, DMI, policy, trace) is preserved.
   /// `keep_translations` keeps the translated blocks (and their chains)
-  /// warm — sound only when the DMI code bytes are reloaded with identical
-  /// content (campaign re-arm with an unchanged firmware hash). Translations
-  /// hold no policy state and revalidate against the raw bytes anyway.
+  /// warm — meant for reloading identical code bytes (campaign re-arm with
+  /// an unchanged firmware hash). Translations hold no policy state, and a
+  /// reload that changes the bytes moves the code-write epoch, so a block
+  /// whose bytes differ is re-translated on its next entry.
   void reset(std::uint32_t reset_pc, bool keep_translations = false);
 
   /// Checkpoint support: restores the retirement counter and WFI state
@@ -194,10 +200,12 @@ class Core {
   using ExecFn = void (*)(Core&, const Insn&);
 
   struct MicroOp;
-  /// Threaded micro-op entry: runs the op's handler, retires it, and enters
-  /// the next micro-op of the block with a tail call unless the dispatch
-  /// must end there (exit rules at CoreOps::th in core.cpp).
-  using ThreadFn = void (*)(Core&, const MicroOp&);
+  /// Threaded micro-op entry: sets `pc_`/`next_pc_` from the op, runs its
+  /// handler, and enters the next micro-op of the block with a tail call
+  /// unless the dispatch must end there (exit rules at CoreOps::th in
+  /// core.cpp). Returns the last op the chain ran; exec_cleared() retires
+  /// the chain's ops with one add.
+  using ThreadFn = const MicroOp* (*)(Core&, const MicroOp&);
 
   /// One pre-decoded instruction of a translated block.
   ///
@@ -206,11 +214,13 @@ class Core {
   /// skips all tag work — valid only while plain_state() holds (shadow plane
   /// uniformly ⊥, register tags ⊥, every clearance admits ⊥). A chain stays
   /// on the flavour it was entered with. Terminators run their full handler
-  /// in both, and the plain instantiation aliases fast == fn.
+  /// in both, and the plain instantiation aliases fast == fn. `pc` is the
+  /// op's own address.
   struct MicroOp {
     Insn insn;
     ThreadFn fn;
     ThreadFn fast;
+    std::uint32_t pc;
   };
 
   /// One translated basic block: a run of micro-ops ending at the first
@@ -220,13 +230,16 @@ class Core {
   /// through to the next micro-op when not taken and exit the block when
   /// taken, which keeps branch-dense inner loops in one block instead of
   /// fragmenting them.
-  /// `raw` snapshots the encoded bytes; a byte compare on entry revalidates
-  /// against self-modifying code. `chain` caches the successor block reached
-  /// last time the block ran. A block holds no policy or tag state: its
-  /// fetch clearance is decided afresh on every dispatch (exec_block).
+  /// `raw` snapshots the encoded bytes and `epoch` the code-write epoch at
+  /// which they last matched memory: entry trusts the block while the
+  /// epoch is current and compares `raw` otherwise (revalidate). `chain`
+  /// caches the successor block reached last time the block ran. A block
+  /// holds no policy or tag state: its fetch clearance is decided afresh on
+  /// every dispatch.
   struct Block {
     std::uint64_t start_off = 0;  ///< DMI offset of the block head
     std::uint32_t byte_len = 0;
+    std::uint64_t epoch = 0;
     Block* chain = nullptr;
     std::uint64_t chain_off = ~std::uint64_t{0};
     std::vector<MicroOp> ops;
@@ -257,30 +270,58 @@ class Core {
   /// The store marks its page (both pages when it straddles a page end) in
   /// the written-page set, skips the plane write when the summary already
   /// holds `tag` over the run, and otherwise writes the SZ tag bytes as one
-  /// unit.
+  /// unit. Its caller tests code_hit() first, and on a hit calls
+  /// code_write().
   template <std::uint32_t SZ, bool TAGS>
   MemAccess dmi_load(std::uint64_t off);
   template <std::uint32_t SZ, bool TAGS>
   void dmi_store(std::uint64_t off, std::uint32_t value, dift::Tag tag);
+  /// True iff the code line of the first or the last byte of a SZ-byte
+  /// store at window offset `off` is marked.
+  template <std::uint32_t SZ>
+  bool code_hit(std::uint64_t off) const {
+    std::uint8_t code = code_lines_[off >> kCodeLineShift];
+    if constexpr (SZ > 1) code |= code_lines_[(off + SZ - 1) >> kCodeLineShift];
+    return code != 0;
+  }
+  /// Cold half of a DMI store that wrote a marked code line: moves the
+  /// code-write epoch, and raises `smc_break_` when the store wrote into
+  /// the executing block.
+  [[gnu::cold, gnu::noinline]] void code_write(std::uint64_t off,
+                                                std::uint32_t size);
 
   void take_trap(std::uint32_t cause, std::uint32_t tval);
   void check_interrupts();
   void do_csr(const Insn& d);
 
   Block* lookup_block(std::uint64_t off, bool& fresh);
+  /// Entry test of a block whose epoch is stale: true iff its bytes still
+  /// match memory, and the epoch is then refreshed. A block entered with a
+  /// current epoch needs no compare.
+  [[gnu::cold, gnu::noinline]] bool revalidate(Block& b);
   void build_into(Block& b, std::uint64_t off);
-  std::uint64_t exec_block(const Block& b, std::uint64_t budget, bool fresh,
-                           bool plain);
   /// Runs up to the first `n` micro-ops of a block cleared for fetch as one
   /// threaded chain, without per-instruction checks: PLAIN enters the
   /// `fast` entries (which also leave on `taint_break_`), otherwise the
   /// full `fn` ones. Returns the number of ops retired.
   template <bool PLAIN>
   std::uint64_t exec_cleared(const Block& b, std::size_t n, bool fresh);
+  /// Every dispatch that is not plain: the VP+'s tainted dispatch (the
+  /// fetch-clearance query over the block span) and the careful path.
+  [[gnu::noinline]] std::uint64_t exec_checked(const Block& b, std::size_t n,
+                                                bool fresh);
+  /// Careful path: per-instruction fetch checks, trace records and
+  /// retirement, so violation pcs and monitor-mode records match
+  /// single-step execution. `cleared` says the whole span is cleared.
+  [[gnu::noinline]] std::uint64_t exec_careful(const Block& b, std::size_t n,
+                                                bool fresh, bool cleared);
   void step_slow();
 
   // Taint-liveness gate (see docs/perf.md).
   bool plain_state();
+  /// The gate's 32-register rescan: true iff every register tag is ⊥ (the
+  /// sticky OR is then cleared); else remembers the tainted register.
+  [[gnu::noinline]] bool rescan_reg_tags();
 
   dift::Tag combine(dift::Tag a, dift::Tag b) { return Ops::combine(a, b); }
   std::uint32_t rv(std::uint8_t r) const { return Ops::value(regs_[r]); }
@@ -312,6 +353,8 @@ class Core {
   std::uint8_t* dmi_data_ = nullptr;
   dift::Tag* dmi_tags_ = nullptr;
   std::uint8_t* dmi_written_ = nullptr;
+  std::uint8_t* code_lines_ = nullptr;
+  std::uint64_t* code_epoch_ = nullptr;
   std::uint64_t dmi_base_ = 0;
   std::uint64_t dmi_size_ = 0;
   dift::ShadowSummary* shadow_ = nullptr;
@@ -333,16 +376,25 @@ class Core {
   // survive vector growth; invalidated blocks are rebuilt in place.
   std::vector<std::unique_ptr<Block>> blocks_;
 
-  // Bounds (DMI offsets) of the block currently executing, so store() can
-  // flag forward stores into the remainder of the block; `smc_break_` ends
-  // the running dispatch so the block is re-translated at the new pc. Bus
-  // (MMIO) stores leave it alone: no peripheral writes code memory
-  // synchronously (see Core::store).
+  // Marked code lines lie in [code_lo_, code_hi_) (line indices), so
+  // invalidate_blocks() unmarks only that range.
+  std::uint64_t code_lo_ = ~std::uint64_t{0};
+  std::uint64_t code_hi_ = 0;
+
+  // Bounds (DMI offsets) of the block currently executing, so a store into
+  // a code line (code_write) can flag forward stores into the remainder of
+  // the block; `smc_break_` ends the running dispatch so the block is
+  // re-translated at the new pc. Bus (MMIO) stores leave it alone: no
+  // peripheral writes code memory synchronously (see Core::store).
   std::uint64_t cur_block_lo_ = 0;
   std::uint64_t cur_block_hi_ = 0;
   bool smc_break_ = false;
   /// Last micro-op the running threaded dispatch may execute (its budget).
   const MicroOp* th_last_ = nullptr;
+  /// First micro-op of the running chain not yet counted in `instret_`.
+  /// The chain retires its ops at exit; the CSR entry, the one handler
+  /// that reads `instret_`, counts the ops before it first.
+  const MicroOp* th_first_ = nullptr;
 
   // Taint-liveness gate state. `reg_tag_or_` is a sticky OR of every tag
   // written to a register: 0 proves all register tags are ⊥; non-zero is

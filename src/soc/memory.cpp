@@ -86,7 +86,9 @@ Memory::Memory(sysc::Simulation& sim, std::string name, std::size_t size,
     : Module(sim, std::move(name)),
       size_(size),
       data_(zero_filled<std::uint8_t>(size)),
-      written_((size + kPageBytes - 1) >> kPageShift, 0) {
+      written_((size + kPageBytes - 1) >> kPageShift, 0),
+      code_lines_(zero_filled<std::uint8_t>(
+          (size + (std::size_t(1) << kCodeLineShift) - 1) >> kCodeLineShift)) {
   if (track_tags) {
     tags_ = zero_filled<dift::Tag>(size);
     shadow_.attach(tags_.get(), size_, /*known_bottom=*/true);
@@ -139,6 +141,12 @@ void Memory::flip_bits(std::size_t offset, std::uint8_t bits) {
 void Memory::mark_written(std::size_t offset, std::size_t length) {
   const std::size_t last = (offset + length - 1) >> kPageShift;
   for (std::size_t p = offset >> kPageShift; p <= last; ++p) written_[p] = 1;
+  const std::size_t last_line = (offset + length - 1) >> kCodeLineShift;
+  for (std::size_t l = offset >> kCodeLineShift; l <= last_line; ++l)
+    if (code_lines_[l]) {
+      ++code_epoch_;
+      return;
+    }
 }
 
 std::map<dift::Tag, std::size_t> Memory::tag_histogram() const {
@@ -181,6 +189,8 @@ SparsePlane Memory::save_tags() const {
 void Memory::restore(const SparsePlane& data, const SparsePlane& tags) {
   if (data.plane_size() != size_ || (!tags.empty() && tags.plane_size() != size_))
     throw std::invalid_argument(name_ + ": snapshot RAM size mismatch");
+  // Any page may change, translated code included.
+  ++code_epoch_;
   // An unmarked page is all zero, so only marked pages need zeroing; the
   // set ends up holding exactly the pages copied.
   restore_pages(

@@ -68,20 +68,44 @@ class SparsePlane {
 /// bus/DMA transport, load_image(), write_u32(), flip_bits(), restore(),
 /// and the core's DMI stores through written_pages(). Snapshot, restore and
 /// reset then visit only marked pages, never scanning the rest of RAM.
+///
+/// Beside it, a code-line set (one byte per 64-byte line, its own anonymous
+/// mapping) names the lines a DMI initiator has translated into code, and a
+/// write epoch counts the writes that may have changed them. Every writer
+/// bumps the epoch when it writes a marked line: the writers above through
+/// mark_written(), restore() and clear() always, data() on every call, and
+/// the core's DMI stores itself. A translated block that recorded the
+/// current epoch therefore still matches its bytes, and only a block whose
+/// epoch is stale needs a byte compare on entry.
 class Memory : public sysc::Module {
  public:
+  /// Line granularity of the code-line set: byte `off >> kCodeLineShift`.
+  static constexpr std::size_t kCodeLineShift = 6;
+
   Memory(sysc::Simulation& sim, std::string name, std::size_t size, bool track_tags);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
 
   /// Raw RAM for tests and host-side tooling. Conservative: the caller may
-  /// write anywhere, so every page is marked written.
+  /// write anywhere, so every page is marked written and the code-write
+  /// epoch moves. The marks hold for writes made before the next run of a
+  /// core on this RAM: a caller that keeps the pointer across a run must
+  /// call data() again before writing through it.
   std::uint8_t* data() {
     std::fill(written_.begin(), written_.end(), std::uint8_t{1});
+    ++code_epoch_;
     return data_.get();
   }
-  /// RAM for a DMI initiator that marks its own stores in written_pages().
+  /// RAM for a DMI initiator that marks its own stores in written_pages()
+  /// and bumps code_epoch() when it writes a line marked in code_lines().
   std::uint8_t* dmi_data() { return data_.get(); }
+  /// The code-line set: byte `off >> kCodeLineShift` is non-zero while RAM
+  /// offset `off` may hold translated code. Its DMI initiator marks and
+  /// clears lines; the memory only reads them.
+  std::uint8_t* code_lines() { return code_lines_.get(); }
+  /// The code-write epoch; it moves whenever a marked line may have been
+  /// written.
+  std::uint64_t* code_epoch() { return &code_epoch_; }
   /// The written-page set: byte `off >> SparsePlane::kPageShift` is non-zero
   /// once RAM offset `off` may have been written.
   std::uint8_t* written_pages() { return written_.data(); }
@@ -149,7 +173,8 @@ class Memory : public sysc::Module {
   static Plane<T> zero_filled(std::size_t n);
 
   void transport(tlmlite::Payload& p, sysc::Time& delay);
-  /// Marks the pages of [offset, offset+length) written (length > 0).
+  /// Marks the pages of [offset, offset+length) written (length > 0) and
+  /// bumps the code-write epoch if the range meets a marked code line.
   void mark_written(std::size_t offset, std::size_t length);
   /// Bytes of page `page` (the last page may be short).
   std::size_t page_len(std::size_t page) const;
@@ -160,6 +185,8 @@ class Memory : public sysc::Module {
   Plane<std::uint8_t> data_;
   Plane<dift::Tag> tags_;
   std::vector<std::uint8_t> written_;  ///< one byte per page, 0 = all zero
+  Plane<std::uint8_t> code_lines_;     ///< one byte per 64-byte line
+  std::uint64_t code_epoch_ = 0;
   dift::ShadowSummary shadow_;
   std::uint64_t summary_hits_ = 0;
 };

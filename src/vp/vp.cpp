@@ -74,8 +74,10 @@ VirtualPrototype<W>::VirtualPrototype(sysc::Simulation* external, VpConfig confi
   core_.bus_socket().bind(bus_.target_socket());
   dma_.bus_socket().bind(bus_.target_socket());
   static_assert(rv::Core<W>::kWrittenPageShift == soc::SparsePlane::kPageShift);
-  core_.set_dmi(ram_.dmi_data(), ram_.tags(), ram_.written_pages(), am::kRamBase,
-                ram_.size(), ram_.tags() ? &ram_.shadow() : nullptr);
+  static_assert(rv::Core<W>::kCodeLineShift == soc::Memory::kCodeLineShift);
+  core_.set_dmi(ram_.dmi_data(), ram_.tags(), ram_.written_pages(),
+                ram_.code_lines(), ram_.code_epoch(), am::kRamBase, ram_.size(),
+                ram_.tags() ? &ram_.shadow() : nullptr);
   core_.set_pc(am::kRamBase);
   core_.set_time_source([this] { return sim_->now().micros(); });
 
@@ -297,9 +299,9 @@ void VirtualPrototype<W>::restore(const Snapshot& s) {
   core_.set_pc(s.pc);
   core_.csrs() = s.csrs;
   core_.restore_counters(s.instret, s.wfi);
-  // RAM changed behind the store path: cached translations (and chained
-  // block successors) may now point at stale code bytes, and smc_break_
-  // never fired for them.
+  // A restored world starts with a cold translation cache, so a restored
+  // run's block counters do not depend on what the VP ran before (the
+  // restore moved the code-write epoch, so warm blocks would stay correct).
   core_.invalidate_blocks();
   // A forked tail must not inherit the parent's pending fault trigger.
   core_.disarm_fault();

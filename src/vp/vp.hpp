@@ -227,8 +227,8 @@ class VirtualPrototype {
   /// `keep_translations` keeps the core's translated-block cache warm
   /// across the re-arm — sound only when the subsequently loaded
   /// firmware is byte-identical (the pool gates this on the firmware
-  /// content hash); translations revalidate against the raw bytes on every
-  /// dispatch regardless.
+  /// content hash); a reload with other bytes moves the code-write epoch,
+  /// so a changed block is re-translated on its next entry regardless.
   void reset(bool keep_translations = false);
 
   /// Loads a program image into RAM and points the core at its entry.

@@ -101,7 +101,7 @@ TEST(BlockEngine, StoreIntoOwnBlockExecutesNewBytes) {
 }
 
 // Host-side pokes (debugger writes, DMA outside the bus) are caught by the
-// raw-byte revalidation on the next block entry.
+// code-write epoch they move (Memory::data()) on the next block entry.
 TEST(BlockEngine, HostPokeInvalidatesCachedBlock) {
   Vm vm;
   rvasm::Assembler a(Vm::kBase);
@@ -135,7 +135,8 @@ struct IrqVm {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(soc::addrmap::kClintBase, soc::addrmap::kClintSize, clint.socket(), "clint");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(), kBase,
+    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(),
+                 ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), nullptr);
     clint.set_soft_irq(
         [this](bool level) { core.set_irq(rv::kIrqMsoft, level); });
@@ -244,7 +245,8 @@ struct BigVm {
   BigVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(), kBase,
+    core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(),
+                 ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), nullptr);
     core.set_pc(kBase);
   }
@@ -508,7 +510,8 @@ struct IoVm {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(kIoBase, io.size(), io.socket(), "io");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(), kBase,
+    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(),
+                 ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), ram.tags() ? &ram.shadow() : nullptr);
     core.set_pc(kBase);
   }
@@ -594,7 +597,7 @@ TEST(BlockEngine, MmioCopyLoopIsOneDispatchPerIteration) {
 // DMA copies a new body over a function that already ran (and whose block
 // is cached and chained). The copy runs in the DMA thread after the CPU
 // yields its quantum; polling the status register and calling the function
-// again must run the new bytes, caught by the raw-byte revalidation.
+// again must run the new bytes: the DMA write moves the code-write epoch.
 template <typename W>
 void dma_patch_runs_new_body() {
   namespace am = soc::addrmap;

@@ -13,7 +13,12 @@
 //    instruction path), with all-⊥ inputs (plain variant) and with one
 //    tagged input (tainted variant); values, tags, memory and the path-
 //    independent engine counters must agree.
-// 4. Register-access width fuzzing: randomized 1..8-byte reads/writes at the
+// 4. Self-modifying code: random programs that store into their own
+//    block, into later and into earlier blocks run on the block engine (VP
+//    and both VP+ variants) and on a reference core without a DMI window,
+//    which fetches every instruction over the bus; state, retirement count
+//    and final code bytes must agree.
+// 5. Register-access width fuzzing: randomized 1..8-byte reads/writes at the
 //    DMA and UART register files — oversized accesses must clamp to the
 //    4-byte register width (never shift past it: UB) and reads must always
 //    fill the whole payload (bytes beyond the register read as zero).
@@ -28,6 +33,8 @@
 #include "micro_vm.hpp"
 #include "rv/trace.hpp"
 #include "soc/dma.hpp"
+#include "soc/memory.hpp"
+#include "tlmlite/bus.hpp"
 #include "soc/uart.hpp"
 
 namespace {
@@ -284,6 +291,220 @@ TEST_P(FuzzSeeds, ThreadedChainsMatchCarefulPath) {
     } else {
       EXPECT_GT(f.tainted_variant_hits, 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Self-modifying code: block engine vs. a bus-fetch reference core.
+// ---------------------------------------------------------------------------
+
+/// Random programs that rewrite their own code. The code is a few segments,
+/// each one block long (ended by `j` or `fence`), run for several rounds.
+/// Patchable slots are OP-IMM instructions (addi/slti/sltiu/xori/ori/andi
+/// into x5..x15); patch sequences store a new OP-IMM encoding — or a byte or
+/// halfword of one, or the bytes the slot already holds — into a slot of
+/// the same block (before or after the store), of a later block or of an
+/// earlier one; each round ends by flipping an immediate bit of the first
+/// slot. Any mix of two such encodings' bytes is again one of them
+/// (writing x4..x15), so every patched program stays well-formed.
+class SmcFuzzer {
+ public:
+  explicit SmcFuzzer(std::uint32_t seed) : rng_(seed) {}
+
+  rvasm::Program generate() {
+    enum class Item { kSlot, kAlu, kPatch, kBranch };
+    std::vector<std::vector<Item>> segs(4 + rng_() % 3);
+    std::vector<std::uint32_t> slot_words;
+    for (auto& seg : segs) {
+      const std::size_t n = 6 + rng_() % 9;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t k = rng_() % 20;
+        const Item item = k < 8 ? Item::kSlot : k < 13 ? Item::kAlu
+                        : k < 19 ? Item::kPatch : Item::kBranch;
+        if (item == Item::kSlot) slot_words.push_back(random_opimm());
+        seg.push_back(item);
+      }
+    }
+    if (slot_words.empty()) {  // at least one slot to patch
+      segs.front().push_back(Item::kSlot);
+      slot_words.push_back(random_opimm());
+    }
+
+    rvasm::Assembler a(MicroVm<rv::PlainWord>::kBase);
+    for (std::uint8_t r = 5; r <= 15; ++r)
+      a.li(static_cast<rvasm::Reg>(r), static_cast<std::int64_t>(rng_()));
+    a.li(s11, 3);  // rounds
+    a.label("round");
+    std::size_t slot = 0;
+    int branches = 0;
+    for (std::size_t s = 0; s < segs.size(); ++s) {
+      a.label("seg" + std::to_string(s));
+      std::string open;  // pending forward-branch target
+      int open_in = 0;
+      for (const Item item : segs[s]) {
+        switch (item) {
+          case Item::kSlot:
+            a.label("slot" + std::to_string(slot));
+            a.word(slot_words[slot++]);
+            break;
+          case Item::kAlu:
+            a.add(gp(), gp(), gp());
+            a.xor_(gp(), gp(), gp());
+            break;
+          case Item::kPatch: {
+            const std::size_t target = rng_() % slot_words.size();
+            const std::uint32_t word =
+                rng_() % 6 == 0 ? slot_words[target] : random_opimm();
+            a.la(t4, "slot" + std::to_string(target));
+            switch (rng_() % 3) {
+              case 0:
+                a.li(t3, static_cast<std::int64_t>(word));
+                a.sw(t3, t4, 0);
+                break;
+              case 1: {
+                const int off = 2 * static_cast<int>(rng_() % 2);
+                a.li(t3, static_cast<std::int64_t>((word >> (8 * off)) & 0xffff));
+                a.sh(t3, t4, off);
+                break;
+              }
+              default: {
+                const int off = static_cast<int>(rng_() % 4);
+                a.li(t3, static_cast<std::int64_t>((word >> (8 * off)) & 0xff));
+                a.sb(t3, t4, off);
+                break;
+              }
+            }
+            break;
+          }
+          case Item::kBranch:
+            if (!open.empty()) break;
+            open = "fwd" + std::to_string(branches++);
+            open_in = 1 + static_cast<int>(rng_() % 3);
+            a.bltu(gp(), gp(), open);
+            break;
+        }
+        if (!open.empty() && item != Item::kBranch && --open_in == 0) {
+          a.label(open);
+          open.clear();
+        }
+      }
+      if (!open.empty()) a.label(open);
+      if (s + 1 == segs.size()) {
+        // Flip an immediate bit of the first slot every round, so a cached
+        // block always changes at least once.
+        a.la(t4, "slot0");
+        a.lw(t3, t4, 0);
+        a.li(t5, 1 << 20);
+        a.xor_(t3, t3, t5);
+        a.sw(t3, t4, 0);
+        a.addi(s11, s11, -1);
+        a.bnez(s11, "round");
+        a.label("park");
+        a.j("park");
+      } else if (rng_() % 2) {
+        a.j("seg" + std::to_string(s + 1));
+      } else {
+        a.fence();
+      }
+    }
+    a.label("code_end");
+    return a.assemble();
+  }
+
+ private:
+  rvasm::Reg gp() { return static_cast<rvasm::Reg>(5 + rng_() % 11); }
+
+  std::uint32_t random_opimm() {
+    static constexpr std::uint32_t kFunct3[] = {0, 2, 3, 4, 6, 7};
+    const std::uint32_t imm = rng_() & 0xfff;
+    return imm << 20 | std::uint32_t(gp()) << 15 | kFunct3[rng_() % 6] << 12 |
+           std::uint32_t(gp()) << 7 | 0x13;
+  }
+
+  std::mt19937 rng_;
+};
+
+struct SmcOutcome {
+  std::array<std::uint32_t, 32> regs{};
+  std::uint32_t pc = 0;
+  std::uint64_t instret = 0;
+  std::vector<std::uint8_t> code;
+};
+
+constexpr std::uint64_t kSmcBudget = 6000;
+
+/// Reference: no DMI window, so every instruction is fetched over the bus
+/// (the core's step_slow path) and a store into code takes effect at once.
+SmcOutcome run_smc_reference(const rvasm::Program& p) {
+  constexpr std::uint64_t kBase = MicroVm<rv::PlainWord>::kBase;
+  sysc::Simulation sim;
+  tlmlite::Bus bus{sim, "bus"};
+  soc::Memory ram{sim, "ram", 64 * 1024, false};
+  rv::Core<rv::PlainWord> core;
+  bus.map(kBase, ram.size(), ram.socket(), "ram");
+  core.bus_socket().bind(bus.target_socket());
+  ram.load_image(p, kBase);
+  core.set_pc(static_cast<std::uint32_t>(p.entry));
+  core.run(kSmcBudget);
+  SmcOutcome out;
+  for (int r = 0; r < 32; ++r) out.regs[r] = core.reg(static_cast<std::uint8_t>(r));
+  out.pc = core.pc();
+  out.instret = core.instret();
+  out.code.assign(ram.dmi_data(), ram.dmi_data() + (p.symbol("code_end") - kBase));
+  EXPECT_EQ(core.stats().block_misses, 0u);  // no block ever ran
+  return out;
+}
+
+template <typename W>
+SmcOutcome run_smc_blocks(const rvasm::Program& p, dift::Tag x5_tag,
+                          std::uint64_t* invalidations) {
+  using Ops = rv::WordOps<W>;
+  MicroVm<W> vm;
+  vm.load(p);
+  // The prologue's li overwrites x5 with the same value but keeps no tag;
+  // tagging x31 (read only by mixed encodings) keeps the tainted variant.
+  vm.core.set_reg(31, Ops::make(0, x5_tag));
+  vm.core.run(kSmcBudget);
+  SmcOutcome out;
+  for (int r = 0; r < 32; ++r)
+    out.regs[r] = Ops::value(vm.core.reg(static_cast<std::uint8_t>(r)));
+  out.pc = vm.core.pc();
+  out.instret = vm.core.instret();
+  out.code.assign(vm.ram.dmi_data(),
+                  vm.ram.dmi_data() + (p.symbol("code_end") - MicroVm<W>::kBase));
+  *invalidations = vm.core.stats().block_invalidations;
+  return out;
+}
+
+void expect_same_smc_outcome(const SmcOutcome& got, const SmcOutcome& want) {
+  for (int r = 0; r < 32; ++r) EXPECT_EQ(got.regs[r], want.regs[r]) << "x" << r;
+  EXPECT_EQ(got.pc, want.pc);
+  EXPECT_EQ(got.instret, want.instret);
+  EXPECT_EQ(got.code, want.code);
+}
+
+TEST_P(FuzzSeeds, SelfModifyingCodeMatchesBusFetchReference) {
+  const dift::Lattice l = dift::Lattice::ifp1();
+  dift::DiftContext ctx(l);
+  const auto prog = SmcFuzzer(GetParam() + 3000).generate();
+  const SmcOutcome ref = run_smc_reference(prog);
+  ASSERT_EQ(ref.pc, prog.symbol("park")) << "program did not finish its rounds";
+  std::uint64_t invalidations = 0;
+  {
+    SCOPED_TRACE("VP");
+    expect_same_smc_outcome(
+        run_smc_blocks<rv::PlainWord>(prog, dift::kBottomTag, &invalidations), ref);
+    EXPECT_GT(invalidations, 0u);  // some patch changed a cached block
+  }
+  {
+    SCOPED_TRACE("VP+ plain variant");
+    expect_same_smc_outcome(
+        run_smc_blocks<rv::TaintedWord>(prog, dift::kBottomTag, &invalidations), ref);
+  }
+  {
+    SCOPED_TRACE("VP+ tainted variant");
+    expect_same_smc_outcome(
+        run_smc_blocks<rv::TaintedWord>(prog, l.tag_of("HC"), &invalidations), ref);
   }
 }
 

@@ -22,7 +22,8 @@ struct MicroVm {
       : ram(sim, "ram", ram_bytes, rv::WordOps<W>::kTainted) {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     core.bus_socket().bind(bus.target_socket());
-    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(), kBase,
+    core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(),
+                 ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), ram.tags() ? &ram.shadow() : nullptr);
     core.set_pc(kBase);
   }

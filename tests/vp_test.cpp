@@ -235,11 +235,10 @@ TEST(VpSnapshot, SizeMismatchRejected) {
   EXPECT_THROW(v.restore(bogus), std::invalid_argument);
 }
 
-// Bugfix regression: restore() must invalidate the translated-block cache.
-// Both programs below share a bit-identical loop head; its cached
-// translation carries a chain pointer to the (different) `func` body, and
-// chained dispatch bypasses the raw-bytes revalidation that lookup does.
-// Without the invalidation, the restored VP keeps executing the OLD func.
+// Bugfix regression: a restored VP must not run stale translations. Both
+// programs below share a bit-identical loop head; its cached translation
+// carries a chain pointer to the (different) `func` body, so a chained
+// entry into `func` must not trust the old micro-ops.
 TEST(VpSnapshot, RestoreInvalidatesStaleTranslations) {
   auto make_looper = [](std::int64_t n) {
     rvasm::Assembler a(soc::addrmap::kRamBase);
