@@ -25,6 +25,10 @@ DiftContext::~DiftContext() {
   s_active_ = previous_;
 }
 
+void detail::lub_without_context() {
+  throw LatticeError("DIFT: tag combination without an active DiftContext");
+}
+
 void detail::flow_violation(Tag source, Tag required, ViolationKind kind,
                             std::uint64_t pc, std::uint64_t address,
                             const char* where) {

@@ -90,11 +90,17 @@ class DiftContext {
   static thread_local constinit DiftContext* s_active_;
 };
 
+namespace detail {
+/// Out-of-line throw of lub() without an active context, kept cold so that
+/// lub() inlines into its callers without forcing them a stack frame.
+[[noreturn, gnu::cold]] void lub_without_context();
+}  // namespace detail
+
 /// Least upper bound of two tags under the active IFP.
 inline Tag lub(Tag a, Tag b) {
   if (a == b) return a;
   auto& t = detail::g_active;
-  if (!t.lub) throw LatticeError("DIFT: tag combination without an active DiftContext");
+  if (!t.lub) detail::lub_without_context();
   ++t.lub_calls;
   return t.lub[static_cast<std::size_t>(a) * t.n + b];
 }

@@ -4,7 +4,6 @@
 #include <type_traits>
 
 #include "dift/context.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::rv {
 
@@ -247,12 +246,12 @@ struct CoreOps {
   template <std::uint32_t SZ, bool SIGN, bool PLAIN>
   [[gnu::noinline]] static void bus_ld(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
-    const auto m = c.load(addr, SZ, SIGN);
+    const auto m = c.template bus_load<SZ>(addr);
     if (m.fault) {
       c.take_trap(kCauseLoadAccessFault, addr);
       return;
     }
-    c.wr(d.rd, m.value, m.tag);
+    c.wr(d.rd, extend<SZ, SIGN>(m.value), m.tag);
     if constexpr (kT && PLAIN) {
       // Bus/MMIO load: the device may hand back tagged data, or DMA behind
       // our back — promote before the next op.
@@ -293,7 +292,8 @@ struct CoreOps {
       return;
     }
     // MMIO store (peripheral clearances) or protected store.
-    if (c.store(addr, c.rv(d.rs2), tag, SZ)) c.take_trap(kCauseStoreAccessFault, addr);
+    if (c.template store<SZ>(addr, c.rv(d.rs2), tag))
+      c.take_trap(kCauseStoreAccessFault, addr);
   }
 
   template <bool (*DMI)(C&, const Insn&), Fn BUS>
@@ -609,54 +609,56 @@ void Core<W>::set_irq(std::uint32_t bit, bool level) {
 }
 
 template <typename W>
-auto Core<W>::load(std::uint32_t addr, std::uint32_t size, bool sign_extend)
-    -> MemAccess {
-  std::uint32_t value = 0;
-  Tag tag = dift::kBottomTag;
-  if (dmi_covers(addr, size)) {
-    const std::uint64_t off = addr - dmi_base_;
-    MemAccess m;
-    switch (size) {
-      case 1: m = dmi_load<1, kTainted>(off); break;
-      case 2: m = dmi_load<2, kTainted>(off); break;
-      default: m = dmi_load<4, kTainted>(off); break;
-    }
-    value = m.value;
-    tag = m.tag;
+template <typename F>
+auto Core<W>::on_bus(std::uint32_t addr, F&& access) {
+  if constexpr (!kTainted) {
+    return access();
   } else {
-    std::uint8_t buf[4] = {};
-    Tag tbuf[4] = {};
-    tlmlite::Payload p;
-    p.command = tlmlite::Command::kRead;
-    p.address = addr;
-    p.data = buf;
-    p.tags = kTainted ? tbuf : nullptr;
-    p.length = size;
-    sysc::Time delay;
-    transport_with_pc(p, delay);
-    if (!p.ok()) return {0, dift::kBottomTag, true};
-    for (std::uint32_t i = 0; i < size; ++i) value |= std::uint32_t(buf[i]) << (8 * i);
-    if constexpr (kTainted) {
-      if (p.tags_uniform()) {
-        tag = static_cast<Tag>(p.tag_summary);
-        ++stats_.load_summary_hits;
-      } else {
-        tag = tbuf[0];
-        for (std::uint32_t i = 1; i < size; ++i) tag = dift::lub(tag, tbuf[i]);
-      }
+    dift::set_pc_hint(pc_);
+    try {
+      return access();
+    } catch (const dift::PolicyViolation& v) {
+      if (v.pc() != 0) throw;
+      rethrow_with_pc(v, addr);
     }
   }
-  if (sign_extend) {
-    if (size == 1) value = static_cast<std::uint32_t>(static_cast<std::int8_t>(value));
-    else if (size == 2)
-      value = static_cast<std::uint32_t>(static_cast<std::int16_t>(value));
-  }
-  return {value, tag, false};
 }
 
 template <typename W>
-bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
-                    std::uint32_t size) {
+void Core<W>::rethrow_with_pc(const dift::PolicyViolation& v,
+                              std::uint32_t addr) const {
+  throw dift::PolicyViolation(v.kind(), v.source(), v.required(), pc_,
+                              v.address() ? v.address() : addr, v.where());
+}
+
+template <typename W>
+template <std::uint32_t SZ>
+auto Core<W>::bus_load(std::uint32_t addr) -> MemAccess {
+  const tlmlite::RegRead r =
+      on_bus(addr, [&] { return bus_->read(addr, SZ); });
+  if (!r.ok()) return {0, dift::kBottomTag, true};
+  Tag tag = dift::kBottomTag;
+  if constexpr (kTainted) {
+    if (r.uniform) {
+      tag = r.tag();
+      ++stats_.load_summary_hits;
+    } else {
+      tag = r.tag(0);
+      for (std::uint32_t i = 1; i < SZ; ++i) tag = dift::lub(tag, r.tag(i));
+    }
+  }
+  return {r.value, tag, false};
+}
+
+template <typename W>
+auto Core<W>::fetch_parcel(std::uint32_t addr) -> MemAccess {
+  if (dmi_covers(addr, 2)) return dmi_load<2, kTainted>(addr - dmi_base_);
+  return bus_load<2>(addr);
+}
+
+template <typename W>
+template <std::uint32_t SZ>
+bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag) {
   if constexpr (kTainted) {
     if (has_store_prot_) {
       if (auto clearance = policy_->store_clearance_at(addr))
@@ -664,57 +666,19 @@ bool Core<W>::store(std::uint32_t addr, std::uint32_t value, Tag tag,
                          "core.store");
     }
   }
-  if (dmi_covers(addr, size)) {
+  if (dmi_covers(addr, SZ)) {
     const std::uint64_t off = addr - dmi_base_;
-    if (size == 1 ? code_hit<1>(off) : size == 2 ? code_hit<2>(off) : code_hit<4>(off))
-      code_write(off, size);
-    switch (size) {
-      case 1: dmi_store<1, kTainted>(off, value, tag); break;
-      case 2: dmi_store<2, kTainted>(off, value, tag); break;
-      default: dmi_store<4, kTainted>(off, value, tag); break;
-    }
+    if (code_hit<SZ>(off)) code_write(off, SZ);
+    dmi_store<SZ, kTainted>(off, value, tag);
     return false;
   }
-  std::uint8_t buf[4];
-  Tag tbuf[4];
-  for (std::uint32_t i = 0; i < size; ++i) {
-    buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    tbuf[i] = tag;
-  }
-  tlmlite::Payload p;
-  p.command = tlmlite::Command::kWrite;
-  p.address = addr;
-  p.data = buf;
-  p.tags = kTainted ? tbuf : nullptr;
-  p.length = size;
-  p.set_tag_summary(tag);  // tbuf was filled uniformly above
-  sysc::Time delay;
   // The block goes on: a peripheral write cannot change code memory before
   // this quantum ends (DMA copies run in the DMA thread, and move the
   // code-write epoch like every RAM writer), and an interrupt it raises
   // at once is caught by the mip & mie test after every memory micro-op.
-  transport_with_pc(p, delay);
-  return !p.ok();
-}
-
-template <typename W>
-void Core<W>::transport_with_pc(tlmlite::Payload& p, sysc::Time& delay) {
-  if constexpr (!kTainted) {
-    bus_.b_transport(p, delay);
-  } else {
-    // Peripherals raise clearance violations without knowing the program
-    // counter; publish it as a hint (used by monitor-mode records) and
-    // re-throw enforcement violations with the faulting pc attached.
-    dift::set_pc_hint(pc_);
-    try {
-      bus_.b_transport(p, delay);
-    } catch (const dift::PolicyViolation& v) {
-      if (v.pc() != 0) throw;
-      throw dift::PolicyViolation(v.kind(), v.source(), v.required(), pc_,
-                                  v.address() ? v.address() : p.address,
-                                  v.where());
-    }
-  }
+  const std::optional<Tag> t = kTainted ? std::optional<Tag>(tag) : std::nullopt;
+  return on_bus(addr, [&] { return bus_->write(addr, SZ, value, t); }) !=
+         tlmlite::Response::kOk;
 }
 
 template <typename W>
@@ -1065,9 +1029,9 @@ void Core<W>::step_slow() {
   // Slow path (XIP flash etc.): read one parcel over the bus, extend to 32
   // bits when it is an uncompressed instruction.
   next_pc_ = pc_ + 4;
-  MemAccess f = load(pc_, 2, false);
+  MemAccess f = fetch_parcel(pc_);
   if (!f.fault && (f.value & 3) == 3) {
-    const MemAccess hi = load(pc_ + 2, 2, false);
+    const MemAccess hi = fetch_parcel(pc_ + 2);
     if (hi.fault) {
       f.fault = true;
     } else {

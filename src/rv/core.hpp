@@ -7,7 +7,8 @@
 // access address) plus store-clearance protection are enforced. All checks
 // compile away completely in the plain instantiation.
 //
-// Memory is reached through a TLM initiator socket; a DMI (direct memory
+// Memory is reached through the bus's register-level entry (MMIO registers
+// without a payload; see tlmlite/registers.hpp); a DMI (direct memory
 // interface) window over the main RAM provides the fast path, exactly like
 // riscv-vp. The core is driven in instruction quanta by the VP's CPU thread:
 // run(n) executes up to n instructions and returns early on WFI or when the
@@ -37,8 +38,7 @@
 #include "rv/decode.hpp"
 #include "rv/trace.hpp"
 #include "rv/word.hpp"
-#include "sysc/time.hpp"
-#include "tlmlite/socket.hpp"
+#include "tlmlite/bus.hpp"
 
 namespace vpdift::rv {
 
@@ -61,8 +61,8 @@ class Core {
 
   // ---- wiring ----
 
-  /// Socket for data/fetch transactions that miss the DMI window.
-  tlmlite::InitiatorSocket& bus_socket() { return bus_; }
+  /// Bus for data/fetch accesses that miss the DMI window.
+  void set_bus(tlmlite::Bus& bus) { bus_ = &bus; }
   /// Direct-memory-interface window over main RAM (`tags` may be null in the
   /// plain build). `written` is the memory's written-page set, one byte per
   /// 2^kWrittenPageShift bytes of the window; every DMI store marks the
@@ -252,21 +252,37 @@ class Core {
   static constexpr std::size_t kMaxBlockOps = 64;
 
   void execute(const Insn& d);
-  void transport_with_pc(tlmlite::Payload& p, sysc::Time& delay);
-  /// Data access of `size` (1, 2 or 4) bytes: DMI window or bus.
-  MemAccess load(std::uint32_t addr, std::uint32_t size, bool sign_extend);
-  bool store(std::uint32_t addr, std::uint32_t value, dift::Tag tag,
-             std::uint32_t size);
+  /// Runs the bus access `access` (a load or store at `addr`). The tainted
+  /// core publishes its pc as a hint first, so a peripheral's monitor-mode
+  /// record names the instruction, and re-throws an enforcement violation
+  /// raised without a pc with its pc (and `addr` when it has no address).
+  template <typename F>
+  auto on_bus(std::uint32_t addr, F&& access);
+  [[noreturn, gnu::cold, gnu::noinline]] void rethrow_with_pc(
+      const dift::PolicyViolation& v, std::uint32_t addr) const;
+  /// Load of SZ (1, 2 or 4) bytes over the bus: an address outside the DMI
+  /// window. With tags, a uniform device read is a load_summary_hits hit,
+  /// any other one the LUB of its byte lanes.
+  template <std::uint32_t SZ>
+  MemAccess bus_load(std::uint32_t addr);
+  /// One 16-bit instruction parcel of the slow fetch path: DMI window or bus.
+  MemAccess fetch_parcel(std::uint32_t addr);
+  /// Store of SZ bytes that left the DMI shortcut: the store-protection
+  /// check, then the DMI window (a protected store or a code-line write) or
+  /// the bus. True iff the bus refused it (an access fault).
+  template <std::uint32_t SZ>
+  bool store(std::uint32_t addr, std::uint32_t value, dift::Tag tag);
 
   /// True iff [addr, addr+size) lies inside the DMI window.
   bool dmi_covers(std::uint32_t addr, std::uint32_t size) const {
     return addr >= dmi_base_ && std::uint64_t(addr) - dmi_base_ + size <= dmi_size_;
   }
-  /// DMI access of SZ bytes at window offset `off`, shared by load()/store()
-  /// and every handler variant. The value moves word-wide. With TAGS, the
-  /// load tag comes from the shadow summary first (a load_summary_hits hit),
-  /// else from the SZ plane bytes read as one word: equal bytes are the tag,
-  /// only differing ones walk the per-byte LUB, so lub_calls stays exact.
+  /// DMI access of SZ bytes at window offset `off`, shared by
+  /// fetch_parcel()/store() and every handler variant. The value moves
+  /// word-wide. With TAGS, the load tag comes from the shadow summary first
+  /// (a load_summary_hits hit), else from the SZ plane bytes read as one
+  /// word: equal bytes are the tag, only differing ones walk the per-byte
+  /// LUB, so lub_calls stays exact.
   /// The store marks its page (both pages when it straddles a page end) in
   /// the written-page set, skips the plane write when the summary already
   /// holds `tag` over the run, and otherwise writes the SZ tag bytes as one
@@ -349,7 +365,7 @@ class Core {
   std::uint64_t instret_ = 0;
   bool wfi_ = false;
 
-  tlmlite::InitiatorSocket bus_;
+  tlmlite::Bus* bus_ = nullptr;
   std::uint8_t* dmi_data_ = nullptr;
   dift::Tag* dmi_tags_ = nullptr;
   std::uint8_t* dmi_written_ = nullptr;

@@ -2,14 +2,12 @@
 
 #include "dift/context.hpp"
 #include "dift/taint.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
 
 AesPeriph::AesPeriph(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)), engine_where_(name_ + ".engine") {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(100));
 }
 
 void AesPeriph::encrypt() {
@@ -22,8 +20,8 @@ void AesPeriph::encrypt() {
   for (int i = 1; i < 16; ++i) key_tag = dift::lub(key_tag, key_tags_[i]);
   if (unit_clearance_)
     dift::check_flow(key_tag, *unit_clearance_,
-                     dift::ViolationKind::kExecUnitClearance, 0, 0,
-                     engine_where_.c_str());
+                     dift::ViolationKind::kExecUnitClearance, 0,
+                     bus_address(kCtrl), engine_where_.c_str());
 
   // The ciphertext depends on everything the engine processed.
   dift::Tag combined = key_tag;
@@ -41,50 +39,45 @@ void AesPeriph::encrypt() {
   ++encryptions_;
 }
 
-void AesPeriph::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(100);
-  p.response = tlmlite::Response::kOk;
-  const std::uint64_t a = p.address;
+tlmlite::RegRead AesPeriph::read(std::uint64_t off, std::uint32_t size) {
+  if (in_block(off, size, kOutput)) {
+    tlmlite::RegRead r;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      r.value |= std::uint32_t(output_[off - kOutput + i]) << (8 * i);
+      r.tags |= std::uint32_t(output_data_tag_) << (8 * i);
+    }
+    return r;
+  }
+  if (in_block(off, size, kKey) || in_block(off, size, kInput))
+    return tlmlite::reg_error(tlmlite::Response::kGenericError);  // write-only
+  if (off == kCtrl) return {};
+  if (off == kStatus) {
+    tlmlite::RegRead r;
+    r.value = done_ ? 1 : 0;
+    return r;
+  }
+  return tlmlite::reg_error();
+}
 
-  if (a >= kKey && a + p.length <= kKey + 16) {
-    if (!p.is_write()) { p.response = tlmlite::Response::kGenericError; return; }
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      key_[a - kKey + i] = p.data[i];
-      key_tags_[a - kKey + i] = p.tainted() ? p.tags[i] : dift::kBottomTag;
+tlmlite::Response AesPeriph::write(std::uint64_t off, std::uint32_t size,
+                                   std::uint32_t value, std::optional<dift::Tag> tag) {
+  const bool key = in_block(off, size, kKey);
+  if (key || in_block(off, size, kInput)) {
+    const std::uint64_t at = off - (key ? kKey : kInput);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      (key ? key_ : input_)[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+      (key ? key_tags_ : input_tags_)[at + i] = tag.value_or(dift::kBottomTag);
     }
     done_ = false;
-    return;
+    return tlmlite::Response::kOk;
   }
-  if (a >= kInput && a + p.length <= kInput + 16) {
-    if (!p.is_write()) { p.response = tlmlite::Response::kGenericError; return; }
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      input_[a - kInput + i] = p.data[i];
-      input_tags_[a - kInput + i] = p.tainted() ? p.tags[i] : dift::kBottomTag;
-    }
-    done_ = false;
-    return;
+  if (in_block(off, size, kOutput) || off == kStatus)
+    return tlmlite::Response::kGenericError;  // read-only
+  if (off == kCtrl) {
+    if ((value & 0xffu) == 1) encrypt();
+    return tlmlite::Response::kOk;
   }
-  if (a >= kOutput && a + p.length <= kOutput + 16) {
-    if (!p.is_read()) { p.response = tlmlite::Response::kGenericError; return; }
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      p.data[i] = output_[a - kOutput + i];
-      if (p.tainted()) p.tags[i] = output_data_tag_;
-    }
-    return;
-  }
-  if (a == kCtrl) {
-    if (p.is_write() && p.data[0] == 1) encrypt();
-    return;
-  }
-  if (a == kStatus) {
-    if (!p.is_read()) { p.response = tlmlite::Response::kGenericError; return; }
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      p.data[i] = i == 0 && done_ ? 1 : 0;
-      if (p.tainted()) p.tags[i] = dift::kBottomTag;
-    }
-    return;
-  }
-  p.response = tlmlite::Response::kAddressError;
+  return tlmlite::Response::kAddressError;
 }
 
 }  // namespace vpdift::soc

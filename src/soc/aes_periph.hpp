@@ -27,7 +27,7 @@
 
 namespace vpdift::soc {
 
-class AesPeriph : public sysc::Module {
+class AesPeriph : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kKey = 0x00, kInput = 0x10, kOutput = 0x20,
                                  kCtrl = 0x30, kStatus = 0x34;
@@ -35,6 +35,16 @@ class AesPeriph : public sysc::Module {
   AesPeriph(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget). KEY, INPUT and OUTPUT are
+  // byte windows: each byte keeps its own tag.
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
+  bool byte_window(std::uint64_t off, std::uint32_t size) const override {
+    return in_block(off, size, kKey) || in_block(off, size, kInput) ||
+           in_block(off, size, kOutput);
+  }
 
   /// Execution clearance of the engine: the combined class of KEY and INPUT
   /// must flow here, else kExecUnitClearance is raised on CTRL.
@@ -76,7 +86,10 @@ class AesPeriph : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
+  /// [off, off+size) lies in the 16-byte block window at `base`.
+  static bool in_block(std::uint64_t off, std::uint32_t size, std::uint64_t base) {
+    return off >= base && off + size <= base + 16;
+  }
   void encrypt();
 
   tlmlite::TargetSocket tsock_;

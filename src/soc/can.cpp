@@ -1,14 +1,12 @@
 #include "soc/can.hpp"
 
 #include "dift/context.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
 
 CanPeriph::CanPeriph(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)), tx_where_(name_ + ".tx") {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(80));
 }
 
 void CanPeriph::receive(const CanFrame& frame) {
@@ -36,72 +34,79 @@ void CanPeriph::update_irq() {
   if (irq_) irq_((ie_ & 1u) != 0 && !rx_.empty());
 }
 
-void CanPeriph::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(80);
-  p.response = tlmlite::Response::kOk;
-  const std::uint64_t a = p.address;
-
-  auto rd_u32 = [&](std::uint32_t v) { tlmlite::fill_reg_u32(p, v); };
-  auto wr_u32 = [&](std::uint32_t& v) { v = tlmlite::collect_reg_u32(p); };
-
-  if (a >= kTxData && a + p.length <= kTxData + 8) {
-    if (p.is_write()) {
-      for (std::uint32_t i = 0; i < p.length; ++i) {
-        tx_.data[a - kTxData + i] = p.data[i];
-        tx_tags_[a - kTxData + i] = p.tainted() ? p.tags[i] : dift::kBottomTag;
-      }
-    } else {
-      for (std::uint32_t i = 0; i < p.length; ++i) {
-        p.data[i] = tx_.data[a - kTxData + i];
-        if (p.tainted()) p.tags[i] = tx_tags_[a - kTxData + i];
-      }
+tlmlite::RegRead CanPeriph::read(std::uint64_t off, std::uint32_t size) {
+  if (in_window(off, size, kTxData)) {
+    tlmlite::RegRead r;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      r.value |= std::uint32_t(tx_.data[off - kTxData + i]) << (8 * i);
+      r.tags |= std::uint32_t(tx_tags_[off - kTxData + i]) << (8 * i);
     }
-    return;
+    return r;
   }
-  if (a >= kRxData && a + p.length <= kRxData + 8) {
-    if (!p.is_read()) { p.response = tlmlite::Response::kGenericError; return; }
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      p.data[i] = rx_.empty() ? 0 : rx_.front().data[a - kRxData + i];
-      if (p.tainted()) p.tags[i] = rx_tag_;
+  if (in_window(off, size, kRxData)) {
+    tlmlite::RegRead r;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      if (!rx_.empty())
+        r.value |= std::uint32_t(rx_.front().data[off - kRxData + i]) << (8 * i);
+      r.tags |= std::uint32_t(rx_tag_) << (8 * i);
     }
-    return;
+    return r;
   }
-
-  switch (a) {
-    case kTxId: p.is_read() ? rd_u32(tx_.id) : wr_u32(tx_.id); break;
-    case kTxDlc: p.is_read() ? rd_u32(tx_.dlc) : wr_u32(tx_.dlc); break;
+  switch (off) {
+    case kTxId: return tlmlite::reg_value(tx_.id);
+    case kTxDlc: return tlmlite::reg_value(tx_.dlc);
+    case kRxId: return tlmlite::reg_value(rx_.empty() ? 0 : rx_.front().id);
+    case kRxDlc: return tlmlite::reg_value(rx_.empty() ? 0 : rx_.front().dlc);
+    case kRxStatus: return tlmlite::reg_value(rx_.empty() ? 0u : 1u);
+    case kIe: return tlmlite::reg_value(ie_);
     case kTxCtrl:
-      if (p.is_write() && p.data[0] == 1 && !bus_off_) {
-        // Output clearance: every payload byte must be allowed to leave.
+    case kRxPop: return {};
+    default: return tlmlite::reg_error();
+  }
+}
+
+tlmlite::Response CanPeriph::write(std::uint64_t off, std::uint32_t size,
+                                   std::uint32_t value, std::optional<dift::Tag> tag) {
+  if (in_window(off, size, kTxData)) {
+    for (std::uint32_t i = 0; i < size; ++i) {
+      tx_.data[off - kTxData + i] = static_cast<std::uint8_t>(value >> (8 * i));
+      tx_tags_[off - kTxData + i] = tag.value_or(dift::kBottomTag);
+    }
+    return tlmlite::Response::kOk;
+  }
+  if (in_window(off, size, kRxData)) return tlmlite::Response::kGenericError;
+  switch (off) {
+    case kTxId: tx_.id = value; break;
+    case kTxDlc: tx_.dlc = value; break;
+    case kTxCtrl:
+      if ((value & 0xffu) == 1 && !bus_off_) {
+        // Output clearance: every data byte must be allowed to leave.
         if (tx_clearance_) {
           for (std::uint32_t i = 0; i < tx_.dlc && i < 8; ++i)
             dift::check_flow(tx_tags_[i], *tx_clearance_,
                              dift::ViolationKind::kOutputClearance, 0,
-                             kTxData + i, tx_where_.c_str());
+                             bus_address(kTxData + i), tx_where_.c_str());
         }
         ++tx_count_;
         if (on_tx_) on_tx_(tx_);
       }
       break;
-    case kRxId: rd_u32(rx_.empty() ? 0 : rx_.front().id); break;
-    case kRxDlc: rd_u32(rx_.empty() ? 0 : rx_.front().dlc); break;
-    case kRxStatus: rd_u32(rx_.empty() ? 0u : 1u); break;
     case kRxPop:
-      if (p.is_write() && !rx_.empty()) {
+      if (!rx_.empty()) {
         rx_.pop_front();
         update_irq();
       }
       break;
     case kIe:
-      if (p.is_write()) {
-        wr_u32(ie_);
-        update_irq();
-      } else {
-        rd_u32(ie_);
-      }
+      ie_ = value;
+      update_irq();
       break;
-    default: p.response = tlmlite::Response::kAddressError; break;
+    case kRxId:
+    case kRxDlc:
+    case kRxStatus: break;
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 EngineEcu::EngineEcu(sysc::Simulation& sim, std::string name, CanPeriph& immo_can,

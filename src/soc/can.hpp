@@ -35,7 +35,7 @@ struct CanFrame {
   std::array<std::uint8_t, 8> data{};
 };
 
-class CanPeriph : public sysc::Module {
+class CanPeriph : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kTxId = 0x00, kTxDlc = 0x04, kTxData = 0x08,
                                  kTxCtrl = 0x10, kRxId = 0x14, kRxDlc = 0x18,
@@ -45,6 +45,15 @@ class CanPeriph : public sysc::Module {
   CanPeriph(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget). TX_DATA and RX_DATA are byte
+  // windows: each byte keeps its own tag.
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
+  bool byte_window(std::uint64_t off, std::uint32_t size) const override {
+    return in_window(off, size, kTxData) || in_window(off, size, kRxData);
+  }
 
   /// Output clearance of the TX path (disengaged = unchecked).
   void set_output_clearance(std::optional<dift::Tag> tag) { tx_clearance_ = tag; }
@@ -92,7 +101,10 @@ class CanPeriph : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
+  /// [off, off+size) lies in the 8-byte data window at `base`.
+  static bool in_window(std::uint64_t off, std::uint32_t size, std::uint64_t base) {
+    return off >= base && off + size <= base + 8;
+  }
   void update_irq();
 
   tlmlite::TargetSocket tsock_;

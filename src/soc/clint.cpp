@@ -1,13 +1,10 @@
 #include "soc/clint.hpp"
 
-#include "tlmlite/payload.hpp"
-
 namespace vpdift::soc {
 
 Clint::Clint(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)), cmp_changed_(sim) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(20));
 }
 
 void Clint::update_timer_irq() {
@@ -53,44 +50,38 @@ sysc::Task Clint::run() {
   }
 }
 
-void Clint::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(20);
-  p.response = tlmlite::Response::kOk;
-  auto rd64 = [&](std::uint64_t v, std::uint64_t reg_base) {
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      const std::uint64_t byte_index = p.address - reg_base + i;
-      p.data[i] = static_cast<std::uint8_t>(v >> (8 * byte_index));
-      if (p.tainted()) p.tags[i] = dift::kBottomTag;
-    }
+tlmlite::RegRead Clint::read(std::uint64_t off, std::uint32_t size) {
+  // The bytes of register `v` from `off` on (the initiator keeps `size`).
+  const auto bytes = [off](std::uint64_t v, std::uint64_t base) {
+    tlmlite::RegRead r;
+    r.value = static_cast<std::uint32_t>(v >> (8 * (off - base)));
+    return r;
   };
-  if (p.address >= kMtime && p.address + p.length <= kMtime + 8) {
-    if (p.is_read()) rd64(mtime(), kMtime);
-    return;
-  }
-  if (p.address >= kMtimecmp && p.address + p.length <= kMtimecmp + 8) {
-    if (p.is_read()) {
-      rd64(mtimecmp_, kMtimecmp);
-    } else {
-      for (std::uint32_t i = 0; i < p.length; ++i) {
-        const std::uint64_t byte_index = p.address - kMtimecmp + i;
-        mtimecmp_ &= ~(0xffull << (8 * byte_index));
-        mtimecmp_ |= std::uint64_t(p.data[i]) << (8 * byte_index);
-      }
-      update_timer_irq();
-      cmp_changed_.notify();
+  if (in_reg(off, size, kMtime, 8)) return bytes(mtime(), kMtime);
+  if (in_reg(off, size, kMtimecmp, 8)) return bytes(mtimecmp_, kMtimecmp);
+  if (in_reg(off, size, kMsip, 4)) return bytes(msip_, kMsip);
+  return tlmlite::reg_error();
+}
+
+tlmlite::Response Clint::write(std::uint64_t off, std::uint32_t size,
+                               std::uint32_t value, std::optional<dift::Tag>) {
+  if (in_reg(off, size, kMtime, 8)) return tlmlite::Response::kOk;  // read-only
+  if (in_reg(off, size, kMtimecmp, 8)) {
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const std::uint64_t byte_index = off - kMtimecmp + i;
+      mtimecmp_ &= ~(0xffull << (8 * byte_index));
+      mtimecmp_ |= std::uint64_t((value >> (8 * i)) & 0xffu) << (8 * byte_index);
     }
-    return;
+    update_timer_irq();
+    cmp_changed_.notify();
+    return tlmlite::Response::kOk;
   }
-  if (p.address >= kMsip && p.address + p.length <= kMsip + 4) {
-    if (p.is_read()) {
-      rd64(msip_, kMsip);
-    } else {
-      msip_ = p.data[0] & 1;
-      if (soft_irq_) soft_irq_(msip_ != 0);
-    }
-    return;
+  if (in_reg(off, size, kMsip, 4)) {
+    msip_ = value & 1;
+    if (soft_irq_) soft_irq_(msip_ != 0);
+    return tlmlite::Response::kOk;
   }
-  p.response = tlmlite::Response::kAddressError;
+  return tlmlite::Response::kAddressError;
 }
 
 }  // namespace vpdift::soc

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "sysc/kernel.hpp"
@@ -18,7 +19,7 @@
 
 namespace vpdift::soc {
 
-class Clint : public sysc::Module {
+class Clint : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kMsip = 0x0000, kMtimecmp = 0x4000,
                                  kMtime = 0xbff8;
@@ -26,6 +27,16 @@ class Clint : public sysc::Module {
   Clint(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget). MTIMECMP and MTIME are 64-bit
+  // registers reached a byte lane at a time (byte windows); MSIP takes any
+  // access inside its 4 bytes.
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
+  bool byte_window(std::uint64_t off, std::uint32_t size) const override {
+    return in_reg(off, size, kMtime, 8) || in_reg(off, size, kMtimecmp, 8);
+  }
 
   /// Timer interrupt line (level) into the core.
   void set_timer_irq(std::function<void(bool)> fn) { timer_irq_ = std::move(fn); }
@@ -60,7 +71,11 @@ class Clint : public sysc::Module {
 
  private:
   sysc::Task run();
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
+  /// [off, off+size) lies in the `width`-byte register at `base`.
+  static bool in_reg(std::uint64_t off, std::uint32_t size, std::uint64_t base,
+                     std::uint64_t width) {
+    return off >= base && off + size <= base + width;
+  }
   void update_timer_irq();
 
   tlmlite::TargetSocket tsock_;

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "tlmlite/payload.hpp"
-
 namespace vpdift::soc {
 
 Dma::Dma(sysc::Simulation& sim, std::string name, bool tainted_mode)
     : Module(sim, std::move(name)),
       start_event_(sim),
       tainted_mode_(tainted_mode) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(50));
 }
 
 sysc::Task Dma::run() {
@@ -74,19 +71,25 @@ void Dma::burst() {
   remaining_ -= n;
 }
 
-void Dma::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(50);
-  p.response = tlmlite::Response::kOk;
-  auto rd_u32 = [&](std::uint32_t v) { tlmlite::fill_reg_u32(p, v); };
-  auto wr_u32 = [&](std::uint32_t& v) { v = tlmlite::collect_reg_u32(p); };
-  switch (p.address) {
-    case kSrc: p.is_read() ? rd_u32(src_) : wr_u32(src_); break;
-    case kDst: p.is_read() ? rd_u32(dst_) : wr_u32(dst_); break;
-    case kLen: p.is_read() ? rd_u32(len_) : wr_u32(len_); break;
+tlmlite::RegRead Dma::read(std::uint64_t off, std::uint32_t) {
+  switch (off) {
+    case kSrc: return tlmlite::reg_value(src_);
+    case kDst: return tlmlite::reg_value(dst_);
+    case kLen: return tlmlite::reg_value(len_);
+    case kCtrl: return tlmlite::reg_value(0);  // write-only register reads as zero
+    case kStatus: return tlmlite::reg_value((busy_ ? 1u : 0u) | (done_ ? 2u : 0u));
+    default: return tlmlite::reg_error();
+  }
+}
+
+tlmlite::Response Dma::write(std::uint64_t off, std::uint32_t, std::uint32_t value,
+                             std::optional<dift::Tag>) {
+  switch (off) {
+    case kSrc: src_ = value; break;
+    case kDst: dst_ = value; break;
+    case kLen: len_ = value; break;
     case kCtrl:
-      if (p.is_read()) {
-        rd_u32(0);  // write-only register reads as zero, never as stale bytes
-      } else if (p.data[0] == 1 && !busy_) {
+      if ((value & 0xffu) == 1 && !busy_) {
         busy_ = true;
         done_ = false;
         cur_src_ = src_;
@@ -95,13 +98,10 @@ void Dma::transport(tlmlite::Payload& p, sysc::Time& delay) {
         start_event_.notify();
       }
       break;
-    case kStatus:
-      // Read-only: a write must not scribble status bytes into the
-      // initiator's payload buffer.
-      if (p.is_read()) rd_u32((busy_ ? 1u : 0u) | (done_ ? 2u : 0u));
-      break;
-    default: p.response = tlmlite::Response::kAddressError; break;
+    case kStatus: break;  // read-only
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

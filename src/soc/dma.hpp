@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <functional>
 #include <string>
 
@@ -21,7 +22,7 @@
 
 namespace vpdift::soc {
 
-class Dma : public sysc::Module {
+class Dma : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kSrc = 0x00, kDst = 0x04, kLen = 0x08,
                                  kCtrl = 0x0c, kStatus = 0x10;
@@ -30,6 +31,11 @@ class Dma : public sysc::Module {
   Dma(sysc::Simulation& sim, std::string name, bool tainted_mode);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
   /// Initiator used for the actual copies (bind to the bus).
   tlmlite::InitiatorSocket& bus_socket() { return isock_; }
   /// Completion interrupt (pulsed).
@@ -74,7 +80,6 @@ class Dma : public sysc::Module {
  private:
   sysc::Task run();
   void burst();
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
   tlmlite::InitiatorSocket isock_;

@@ -1,54 +1,48 @@
 #include "soc/gpio.hpp"
 
 #include "dift/context.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
 
 Gpio::Gpio(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)), out_where_(name_ + ".out") {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(20));
 }
 
-void Gpio::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(20);
-  p.response = tlmlite::Response::kOk;
-  auto rd_u32 = [&](std::uint32_t v, dift::Tag tag) {
-    tlmlite::fill_reg_u32(p, v, tag);
-  };
-  auto wr_u32 = [&](std::uint32_t& v) {
-    // Byte-lane merge, clamped to the register width (shift-UB otherwise).
-    const std::uint32_t n = p.length < 4 ? p.length : 4;
-    for (std::uint32_t i = 0; i < n; ++i) {
+tlmlite::RegRead Gpio::read(std::uint64_t off, std::uint32_t) {
+  switch (off) {
+    case kOut: return tlmlite::reg_value(out_);
+    case kIn: return tlmlite::reg_value(in_, in_tag_);
+    case kDir: return tlmlite::reg_value(dir_);
+    default: return tlmlite::reg_error();
+  }
+}
+
+tlmlite::Response Gpio::write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                              std::optional<dift::Tag> tag) {
+  // Byte-lane merge, clamped to the register width.
+  const auto merge = [size, value](std::uint32_t& v) {
+    for (std::uint32_t i = 0; i < size && i < 4; ++i) {
       v &= ~(0xffu << (8 * i));
-      v |= std::uint32_t(p.data[i]) << (8 * i);
+      v |= value & (0xffu << (8 * i));
     }
   };
-  switch (p.address) {
+  switch (off) {
     case kOut:
-      if (p.is_read()) {
-        rd_u32(out_, dift::kBottomTag);
-      } else {
-        if (p.tainted() && out_clearance_)
-          for (std::uint32_t i = 0; i < p.length; ++i)
-            dift::check_flow(p.tags[i], *out_clearance_,
-                             dift::ViolationKind::kOutputClearance, 0,
-                             p.address, out_where_.c_str());
-        wr_u32(out_);
-        if (on_out_) on_out_(out_);
-      }
+      // One check per byte written, as for a byte-wise output port.
+      if (tag && out_clearance_)
+        for (std::uint32_t i = 0; i < size; ++i)
+          dift::check_flow(*tag, *out_clearance_,
+                           dift::ViolationKind::kOutputClearance, 0,
+                           bus_address(off), out_where_.c_str());
+      merge(out_);
+      if (on_out_) on_out_(out_);
       break;
-    case kIn:
-      if (p.is_read()) rd_u32(in_, in_tag_);
-      break;
-    case kDir:
-      p.is_read() ? rd_u32(dir_, dift::kBottomTag) : wr_u32(dir_);
-      break;
-    default:
-      p.response = tlmlite::Response::kAddressError;
-      break;
+    case kDir: merge(dir_); break;
+    case kIn: break;
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

@@ -21,13 +21,18 @@
 
 namespace vpdift::soc {
 
-class Gpio : public sysc::Module {
+class Gpio : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kOut = 0x00, kIn = 0x04, kDir = 0x08;
 
   Gpio(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
 
   void set_output_clearance(std::optional<dift::Tag> tag) { out_clearance_ = tag; }
   void set_input_tag(dift::Tag tag) { in_tag_ = tag; }
@@ -52,8 +57,6 @@ class Gpio : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
-
   tlmlite::TargetSocket tsock_;
   const std::string out_where_;  ///< clearance-check site name
   std::uint32_t out_ = 0, in_ = 0, dir_ = 0;

@@ -1,12 +1,9 @@
 #include "soc/plic.hpp"
 
-#include "tlmlite/payload.hpp"
-
 namespace vpdift::soc {
 
 Plic::Plic(sysc::Simulation& sim, std::string name) : Module(sim, std::move(name)) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(20));
 }
 
 void Plic::raise(std::uint32_t src) {
@@ -32,37 +29,37 @@ void Plic::update() {
   if (ext_irq_) ext_irq_((pending_ & enable_) != 0);
 }
 
-void Plic::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(20);
-  p.response = tlmlite::Response::kOk;
-  auto rd_u32 = [&](std::uint32_t v) { tlmlite::fill_reg_u32(p, v); };
-  switch (p.address) {
-    case kPending:
-      if (p.is_read()) rd_u32(pending_);
-      break;
-    case kEnable:
-      if (p.is_read()) {
-        rd_u32(enable_);
-      } else {
-        enable_ = tlmlite::collect_reg_u32(p);
+tlmlite::RegRead Plic::read(std::uint64_t off, std::uint32_t) {
+  switch (off) {
+    case kPending: return tlmlite::reg_value(pending_);
+    case kEnable: return tlmlite::reg_value(enable_);
+    case kClaim: {
+      std::uint32_t src = 0;
+      const std::uint32_t active = pending_ & enable_;
+      for (std::uint32_t s = 1; s < 32; ++s)
+        if (active & (1u << s)) { src = s; break; }
+      if (src != 0) {
+        pending_ &= ~(1u << src);
         update();
       }
-      break;
-    case kClaim:
-      if (p.is_read()) {
-        std::uint32_t src = 0;
-        const std::uint32_t active = pending_ & enable_;
-        for (std::uint32_t s = 1; s < 32; ++s)
-          if (active & (1u << s)) { src = s; break; }
-        if (src != 0) {
-          pending_ &= ~(1u << src);
-          update();
-        }
-        rd_u32(src);
-      }
-      break;
-    default: p.response = tlmlite::Response::kAddressError; break;
+      return tlmlite::reg_value(src);
+    }
+    default: return tlmlite::reg_error();
   }
+}
+
+tlmlite::Response Plic::write(std::uint64_t off, std::uint32_t, std::uint32_t value,
+                              std::optional<dift::Tag>) {
+  switch (off) {
+    case kEnable:
+      enable_ = value;
+      update();
+      break;
+    case kPending:
+    case kClaim: break;  // completion: ignored in this simplified model
+    default: return tlmlite::Response::kAddressError;
+  }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <functional>
 #include <string>
 
@@ -19,13 +20,18 @@
 
 namespace vpdift::soc {
 
-class Plic : public sysc::Module {
+class Plic : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kPending = 0x00, kEnable = 0x04, kClaim = 0x08;
 
   Plic(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
 
   /// External-interrupt line (level) into the core.
   void set_ext_irq(std::function<void(bool)> fn) { ext_irq_ = std::move(fn); }
@@ -58,7 +64,6 @@ class Plic : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
   void update();
 
   tlmlite::TargetSocket tsock_;

@@ -1,14 +1,12 @@
 #include "soc/sensor.hpp"
 
 #include "dift/context.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
 
 Sensor::Sensor(sysc::Simulation& sim, std::string name, sysc::Time period)
     : Module(sim, std::move(name)), period_(period) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(50));
 }
 
 void Sensor::start() { sim_->spawn(run()); }
@@ -39,41 +37,36 @@ sysc::Task Sensor::run() {
   }
 }
 
-void Sensor::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(50);
-  p.response = tlmlite::Response::kOk;
-  if (p.address + p.length <= kFrameSize) {
-    // Data-frame window.
-    for (std::uint32_t i = 0; i < p.length; ++i) {
-      auto& cell = frame_[p.address + i];
-      if (p.is_read()) {
-        p.data[i] = cell.value();
-        if (p.tainted()) p.tags[i] = cell.tag();
-      } else {
-        cell = dift::TaintedByte(p.data[i],
-                                 p.tainted() ? p.tags[i] : dift::kBottomTag);
-      }
+tlmlite::RegRead Sensor::read(std::uint64_t off, std::uint32_t size) {
+  tlmlite::RegRead r;
+  if (byte_window(off, size)) {
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const auto& cell = frame_[off + i];
+      r.value |= std::uint32_t(cell.value()) << (8 * i);
+      r.tags |= std::uint32_t(cell.tag()) << (8 * i);
     }
-    return;
+    return r;
   }
-  if (p.address == kDataTagReg) {
-    if (p.is_read()) {
-      // The configured security class itself is not confidential.
-      for (std::uint32_t i = 0; i < p.length; ++i) {
-        p.data[i] = i == 0 ? data_tag_ : 0;
-        if (p.tainted()) p.tags[i] = dift::kBottomTag;
-      }
-    } else {
-      // Mirrors the paper's `data_tag = *ptr`: the implicit Taint ->
-      // uint8_t conversion requires the incoming byte to be cleared for the
-      // engine's conversion clearance.
-      const dift::TaintedByte incoming(p.data[0],
-                                       p.tainted() ? p.tags[0] : dift::kBottomTag);
-      data_tag_ = incoming;
-    }
-    return;
+  // The configured security class itself is not confidential.
+  if (off == kDataTagReg) r.value = data_tag_;
+  else r = tlmlite::reg_error();
+  return r;
+}
+
+tlmlite::Response Sensor::write(std::uint64_t off, std::uint32_t size,
+                                std::uint32_t value, std::optional<dift::Tag> tag) {
+  const dift::Tag t = tag.value_or(dift::kBottomTag);
+  if (byte_window(off, size)) {
+    for (std::uint32_t i = 0; i < size; ++i)
+      frame_[off + i] = dift::TaintedByte(static_cast<std::uint8_t>(value >> (8 * i)), t);
+    return tlmlite::Response::kOk;
   }
-  p.response = tlmlite::Response::kAddressError;
+  if (off != kDataTagReg) return tlmlite::Response::kAddressError;
+  // Mirrors the paper's `data_tag = *ptr`: the implicit Taint -> uint8_t
+  // conversion requires the incoming byte to be cleared for the engine's
+  // conversion clearance.
+  data_tag_ = dift::TaintedByte(static_cast<std::uint8_t>(value), t);
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

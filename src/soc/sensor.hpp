@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "dift/taint.hpp"
@@ -21,7 +22,7 @@
 
 namespace vpdift::soc {
 
-class Sensor : public sysc::Module {
+class Sensor : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::size_t kFrameSize = 64;
   static constexpr std::uint64_t kDataTagReg = 0x40;
@@ -30,6 +31,15 @@ class Sensor : public sysc::Module {
          sysc::Time period = sysc::Time::ms(25));
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget). DATA_FRAME is a byte window:
+  // each byte keeps its own tag.
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
+  bool byte_window(std::uint64_t off, std::uint32_t size) const override {
+    return off + size <= kFrameSize;
+  }
 
   /// Interrupt line to the PLIC (pulsed on each new frame).
   void set_irq(std::function<void()> fn) { irq_ = std::move(fn); }
@@ -71,7 +81,6 @@ class Sensor : public sysc::Module {
 
  private:
   sysc::Task run();
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
   std::array<dift::TaintedByte, kFrameSize> frame_{};

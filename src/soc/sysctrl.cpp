@@ -1,33 +1,29 @@
 #include "soc/sysctrl.hpp"
 
-#include "tlmlite/payload.hpp"
-
 namespace vpdift::soc {
 
 SysCtrl::SysCtrl(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(10));
 }
 
-void SysCtrl::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(10);
-  p.response = tlmlite::Response::kOk;
-  switch (p.address) {
+tlmlite::RegRead SysCtrl::read(std::uint64_t off, std::uint32_t) {
+  if (off == kExit || off == kMark) return {};  // write-only
+  return tlmlite::reg_error();
+}
+
+tlmlite::Response SysCtrl::write(std::uint64_t off, std::uint32_t, std::uint32_t value,
+                                 std::optional<dift::Tag>) {
+  switch (off) {
     case kExit:
-      if (p.is_write()) {
-        exit_code_ = tlmlite::collect_reg_u32(p);
-        exited_ = true;
-        sim_->stop();
-      }
+      exit_code_ = value;
+      exited_ = true;
+      sim_->stop();
       break;
-    case kMark:
-      if (p.is_write()) markers_.push_back(static_cast<char>(p.data[0]));
-      break;
-    default:
-      p.response = tlmlite::Response::kAddressError;
-      break;
+    case kMark: markers_.push_back(static_cast<char>(value)); break;
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sysc/kernel.hpp"
@@ -14,13 +15,18 @@
 
 namespace vpdift::soc {
 
-class SysCtrl : public sysc::Module {
+class SysCtrl : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kExit = 0x00, kMark = 0x04;
 
   SysCtrl(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
 
   bool exited() const { return exited_; }
   std::uint32_t exit_code() const { return exit_code_; }
@@ -41,7 +47,6 @@ class SysCtrl : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
   bool exited_ = false;

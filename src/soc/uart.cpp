@@ -1,14 +1,12 @@
 #include "soc/uart.hpp"
 
 #include "dift/context.hpp"
-#include "tlmlite/payload.hpp"
 
 namespace vpdift::soc {
 
 Uart::Uart(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)), tx_where_(name_ + ".tx") {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(50));
 }
 
 void Uart::feed_input(std::string_view bytes) {
@@ -36,56 +34,45 @@ void Uart::update_irq() {
   if (irq_) irq_((ie_ & 1u) != 0 && !rx_.empty());
 }
 
-void Uart::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(50);
-  p.response = tlmlite::Response::kOk;
-  switch (p.address) {
+tlmlite::RegRead Uart::read(std::uint64_t off, std::uint32_t) {
+  switch (off) {
     case kTxData:
-      if (!p.is_write()) {
-        // Write-only register: reads must still fill the payload (kOk with
-        // uninitialized data/tags leaks whatever the initiator had there).
-        tlmlite::fill_reg_u32(p, 0);
-        break;
-      }
-      if (p.tainted() && tx_clearance_) {
-        // Every payload byte must be cleared to leave, not just byte 0 — a
-        // multi-byte store with a classified high byte must not slip out.
-        dift::Tag t = p.tags[0];
-        for (std::uint32_t i = 1; i < p.length; ++i) t = dift::lub(t, p.tags[i]);
-        dift::check_flow(t, *tx_clearance_,
-                         dift::ViolationKind::kOutputClearance, 0, p.address,
-                         tx_where_.c_str());
-      }
-      tx_log_.push_back(static_cast<char>(p.data[0]));
-      break;
+      // Write-only register: reads as zero.
+      return tlmlite::reg_value(0);
     case kRxData: {
-      if (!p.is_read()) break;
-      std::uint32_t v = 0xffffffffu;
-      dift::Tag t = dift::kBottomTag;
-      if (!rx_.empty()) {
-        v = rx_.front();
-        rx_.pop_front();
-        t = rx_tag_;
-        update_irq();
-      }
-      tlmlite::fill_reg_u32(p, v, t);
-      break;
+      if (rx_.empty()) return tlmlite::reg_value(0xffffffffu);
+      const std::uint32_t v = rx_.front();
+      rx_.pop_front();
+      update_irq();
+      return tlmlite::reg_value(v, rx_tag_);
     }
-    case kStatus:
-      if (p.is_read()) tlmlite::fill_reg_u32(p, 1u | (rx_.empty() ? 0u : 2u));
+    case kStatus: return tlmlite::reg_value(1u | (rx_.empty() ? 0u : 2u));
+    case kIe: return tlmlite::reg_value(ie_);
+    default: return tlmlite::reg_error();
+  }
+}
+
+tlmlite::Response Uart::write(std::uint64_t off, std::uint32_t, std::uint32_t value,
+                              std::optional<dift::Tag> tag) {
+  switch (off) {
+    case kTxData:
+      // The tag is the LUB of every byte written (the payload shim combines
+      // a multi-byte payload's lanes), so a classified high byte cannot
+      // slip out behind a cleared low one.
+      if (tag && tx_clearance_)
+        dift::check_flow(*tag, *tx_clearance_, dift::ViolationKind::kOutputClearance,
+                         0, bus_address(off), tx_where_.c_str());
+      tx_log_.push_back(static_cast<char>(value));
       break;
     case kIe:
-      if (p.is_write()) {
-        ie_ = p.data[0];
-        update_irq();
-      } else {
-        tlmlite::fill_reg_u32(p, ie_);
-      }
+      ie_ = value & 0xffu;
+      update_irq();
       break;
-    default:
-      p.response = tlmlite::Response::kAddressError;
-      break;
+    case kRxData:
+    case kStatus: break;
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

@@ -20,7 +20,7 @@
 
 namespace vpdift::soc {
 
-class Uart : public sysc::Module {
+class Uart : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kTxData = 0x00, kRxData = 0x04, kStatus = 0x08,
                                  kIe = 0x0c;
@@ -28,6 +28,11 @@ class Uart : public sysc::Module {
   Uart(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
 
   /// Output clearance of the TX interface (disengaged = unchecked).
   void set_output_clearance(std::optional<dift::Tag> tag) { tx_clearance_ = tag; }
@@ -69,7 +74,6 @@ class Uart : public sysc::Module {
   }
 
  private:
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
   void update_irq();
 
   tlmlite::TargetSocket tsock_;

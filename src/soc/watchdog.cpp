@@ -1,13 +1,10 @@
 #include "soc/watchdog.hpp"
 
-#include "tlmlite/payload.hpp"
-
 namespace vpdift::soc {
 
 Watchdog::Watchdog(sysc::Simulation& sim, std::string name)
     : Module(sim, std::move(name)) {
-  tsock_.register_transport(
-      [this](tlmlite::Payload& p, sysc::Time& d) { transport(p, d); });
+  tsock_.register_registers(*this, sysc::Time::ns(20));
 }
 
 sysc::Task Watchdog::run() {
@@ -41,39 +38,34 @@ void Watchdog::check() {
   }
 }
 
-void Watchdog::transport(tlmlite::Payload& p, sysc::Time& delay) {
-  delay += sysc::Time::ns(20);
-  p.response = tlmlite::Response::kOk;
-  auto rd_u32 = [&](std::uint32_t v) { tlmlite::fill_reg_u32(p, v); };
-  auto payload_u32 = [&] { return tlmlite::collect_reg_u32(p); };
-  switch (p.address) {
+tlmlite::RegRead Watchdog::read(std::uint64_t off, std::uint32_t) {
+  switch (off) {
+    case kLoad: return tlmlite::reg_value(timeout_us_);
+    case kCtrl: return tlmlite::reg_value(enabled_ ? 1u : 0u);
+    case kStatus: return tlmlite::reg_value(resets_);
+    case kPet: return {};  // write-only
+    default: return tlmlite::reg_error();
+  }
+}
+
+tlmlite::Response Watchdog::write(std::uint64_t off, std::uint32_t, std::uint32_t value,
+                                  std::optional<dift::Tag>) {
+  switch (off) {
     case kLoad:
-      if (p.is_read()) {
-        rd_u32(timeout_us_);
-      } else {
-        timeout_us_ = payload_u32();
-        deadline_us_ = sim_->now().micros() + timeout_us_;
-      }
+      timeout_us_ = value;
+      deadline_us_ = sim_->now().micros() + timeout_us_;
       break;
     case kPet:
-      if (p.is_write() && payload_u32() == kPetMagic)
-        deadline_us_ = sim_->now().micros() + timeout_us_;
+      if (value == kPetMagic) deadline_us_ = sim_->now().micros() + timeout_us_;
       break;
     case kCtrl:
-      if (p.is_read()) {
-        rd_u32(enabled_ ? 1u : 0u);
-      } else {
-        enabled_ = (payload_u32() & 1) != 0;
-        if (enabled_) deadline_us_ = sim_->now().micros() + timeout_us_;
-      }
+      enabled_ = (value & 1) != 0;
+      if (enabled_) deadline_us_ = sim_->now().micros() + timeout_us_;
       break;
-    case kStatus:
-      if (p.is_read()) rd_u32(resets_);
-      break;
-    default:
-      p.response = tlmlite::Response::kAddressError;
-      break;
+    case kStatus: break;
+    default: return tlmlite::Response::kAddressError;
   }
+  return tlmlite::Response::kOk;
 }
 
 }  // namespace vpdift::soc

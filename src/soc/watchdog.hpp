@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <functional>
 #include <string>
 
@@ -16,7 +17,7 @@
 
 namespace vpdift::soc {
 
-class Watchdog : public sysc::Module {
+class Watchdog : public sysc::Module, public tlmlite::RegisterTarget {
  public:
   static constexpr std::uint64_t kLoad = 0x00, kPet = 0x04, kCtrl = 0x08,
                                  kStatus = 0x0c;
@@ -25,6 +26,11 @@ class Watchdog : public sysc::Module {
   Watchdog(sysc::Simulation& sim, std::string name);
 
   tlmlite::TargetSocket& socket() { return tsock_; }
+
+  // Register entry (tlmlite::RegisterTarget).
+  tlmlite::RegRead read(std::uint64_t off, std::uint32_t size) override;
+  tlmlite::Response write(std::uint64_t off, std::uint32_t size, std::uint32_t value,
+                          std::optional<dift::Tag> tag) override;
 
   /// Fired on expiry (the SoC wires this to a CPU reset).
   void set_on_timeout(std::function<void()> fn) { on_timeout_ = std::move(fn); }
@@ -54,7 +60,6 @@ class Watchdog : public sysc::Module {
  private:
   sysc::Task run();
   void check();
-  void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
   std::uint32_t timeout_us_ = 0;

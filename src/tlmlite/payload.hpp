@@ -16,7 +16,11 @@ namespace vpdift::tlmlite {
 
 enum class Command : std::uint8_t { kRead, kWrite };
 
-enum class Response : std::uint8_t {
+// 32 bits wide so that a RegRead (registers.hpp), whose only other narrow
+// member is its uniform flag, comes back from a register read in two
+// registers: two byte-wide members made g++ assemble it through the stack,
+// which stalled every MMIO load on a failed store-to-load forward.
+enum class Response : std::uint32_t {
   kOk,
   kAddressError,  ///< no target mapped / offset out of range
   kGenericError,  ///< target rejected the transaction
@@ -49,28 +53,5 @@ struct Payload {
   bool tags_uniform() const { return tag_summary != kMixedTags; }
   void set_tag_summary(dift::Tag t) { tag_summary = t; }
 };
-
-/// Fills a register-read payload from a 32-bit register value. Bytes beyond
-/// the register's width read as zero — and the shift is clamped accordingly:
-/// `v >> (8*i)` with i >= 4 is undefined behaviour on a 32-bit value, which
-/// an oversized read (length > 4) would otherwise trigger.
-inline void fill_reg_u32(Payload& p, std::uint32_t v,
-                         dift::Tag tag = dift::kBottomTag) {
-  for (std::uint32_t i = 0; i < p.length; ++i) {
-    p.data[i] = i < 4 ? static_cast<std::uint8_t>(v >> (8 * i)) : 0;
-    if (p.tainted()) p.tags[i] = tag;
-  }
-  p.set_tag_summary(tag);
-}
-
-/// Collects a 32-bit register value from a write payload, ignoring bytes
-/// beyond the register's width (clamped for the same shift-UB reason).
-inline std::uint32_t collect_reg_u32(const Payload& p) {
-  std::uint32_t v = 0;
-  const std::uint32_t n = p.length < 4 ? p.length : 4;
-  for (std::uint32_t i = 0; i < n; ++i)
-    v |= std::uint32_t(p.data[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace vpdift::tlmlite

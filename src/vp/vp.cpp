@@ -71,7 +71,7 @@ VirtualPrototype<W>::VirtualPrototype(sysc::Simulation* external, VpConfig confi
   }
 
   // Initiators.
-  core_.bus_socket().bind(bus_.target_socket());
+  core_.set_bus(bus_);
   dma_.bus_socket().bind(bus_.target_socket());
   static_assert(rv::Core<W>::kWrittenPageShift == soc::SparsePlane::kPageShift);
   static_assert(rv::Core<W>::kCodeLineShift == soc::Memory::kCodeLineShift);

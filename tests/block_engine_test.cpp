@@ -134,7 +134,7 @@ struct IrqVm {
   IrqVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(soc::addrmap::kClintBase, soc::addrmap::kClintSize, clint.socket(), "clint");
-    core.bus_socket().bind(bus.target_socket());
+    core.set_bus(bus);
     core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(),
                  ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), nullptr);
@@ -244,7 +244,7 @@ struct BigVm {
 
   BigVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
-    core.bus_socket().bind(bus.target_socket());
+    core.set_bus(bus);
     core.set_dmi(ram.dmi_data(), nullptr, ram.written_pages(),
                  ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), nullptr);
@@ -509,7 +509,7 @@ struct IoVm {
   IoVm() {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
     bus.map(kIoBase, io.size(), io.socket(), "io");
-    core.bus_socket().bind(bus.target_socket());
+    core.set_bus(bus);
     core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(),
                  ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), ram.tags() ? &ram.shadow() : nullptr);

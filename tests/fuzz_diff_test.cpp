@@ -442,7 +442,7 @@ SmcOutcome run_smc_reference(const rvasm::Program& p) {
   soc::Memory ram{sim, "ram", 64 * 1024, false};
   rv::Core<rv::PlainWord> core;
   bus.map(kBase, ram.size(), ram.socket(), "ram");
-  core.bus_socket().bind(bus.target_socket());
+  core.set_bus(bus);
   ram.load_image(p, kBase);
   core.set_pc(static_cast<std::uint32_t>(p.entry));
   core.run(kSmcBudget);

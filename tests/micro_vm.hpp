@@ -21,7 +21,7 @@ struct MicroVm {
   explicit MicroVm(std::size_t ram_bytes = 64 * 1024)
       : ram(sim, "ram", ram_bytes, rv::WordOps<W>::kTainted) {
     bus.map(kBase, ram.size(), ram.socket(), "ram");
-    core.bus_socket().bind(bus.target_socket());
+    core.set_bus(bus);
     core.set_dmi(ram.dmi_data(), ram.tags(), ram.written_pages(),
                  ram.code_lines(), ram.code_epoch(), kBase,
                  ram.size(), ram.tags() ? &ram.shadow() : nullptr);
