@@ -4,7 +4,7 @@
 // flows. Because they run on the simulation's hottest path (every executed
 // instruction of the VP+), the active lattice's dense tables are exposed
 // through module-level pointers consulted by the inline free functions
-// lub()/allowed_flow() below. A DiftContext is a RAII scope that installs a
+// lub()/check_flow() below. A DiftContext is a RAII scope that installs a
 // lattice as the active one (contexts nest; the previous one is restored).
 //
 // Each simulation is single-threaded (like a SystemC kernel), but several
@@ -105,15 +105,6 @@ inline Tag lub(Tag a, Tag b) {
   return t.lub[static_cast<std::size_t>(a) * t.n + b];
 }
 
-/// True iff data of class `from` may flow to `to` under the active IFP.
-inline bool allowed_flow(Tag from, Tag to) {
-  if (from == to) return true;
-  auto& t = detail::g_active;
-  if (!t.flow) throw LatticeError("DIFT: flow check without an active DiftContext");
-  ++t.flow_checks;
-  return t.flow[static_cast<std::size_t>(from) * t.n + to] != 0;
-}
-
 /// Set by the CPU before it drives a bus transaction so that clearance
 /// checks raised inside peripherals can attribute the violation to the
 /// offending instruction.
@@ -128,13 +119,14 @@ namespace detail {
                                   const char* where);
 }  // namespace detail
 
-/// Raises PolicyViolation(kind) unless allowed_flow(source, required).
+/// Raises PolicyViolation(kind) unless data of class `source` may flow to
+/// `required` under the active IFP.
 /// In monitor mode the violation is recorded instead and execution continues.
 inline void check_flow(Tag source, Tag required, ViolationKind kind,
                        std::uint64_t pc = 0, std::uint64_t address = 0,
                        const char* where = "") {
-  // allowed_flow() spelled out, so that its no-context throw joins the cold
-  // half instead of being inlined into every caller.
+  // Without an active context the check falls through to the cold half,
+  // which throws, so no throw is inlined into the callers.
   if (source == required) return;
   auto& t = detail::g_active;
   if (t.flow) {

@@ -20,7 +20,7 @@ namespace vpdift::dift {
 /// from it, so adding a counter is a one-line change here.
 #define VPDIFT_DIFT_STATS_FIELDS(X)                                          \
   X(lub_calls)             /* LUB table lookups (a != b slow path) */        \
-  X(flow_checks)           /* flow-table lookups (from != to) */             \
+  X(flow_checks)           /* flow checks (from != to): core rows + ctx */   \
   X(decode_hits)           /* instructions executed from cached blocks */    \
   X(decode_misses)         /* instructions decoded into micro-ops */         \
   X(block_hits)            /* block-cache lookups that found a valid block */ \

@@ -188,12 +188,9 @@ struct CoreOps {
   template <bool (*P)(std::uint32_t, std::uint32_t), bool PLAIN = false>
   static void h_br(C& c, const Insn& d) {
     const bool taken = P(c.rv(d.rs1), c.rv(d.rs2));
-    if constexpr (kT && !PLAIN) {
-      const Tag cond = Ops::combine(c.rt(d.rs1), c.rt(d.rs2));
-      if (c.exec_.branch)
-        dift::check_flow(cond, *c.exec_.branch, ViolationKind::kBranchClearance,
-                         c.pc_, 0, "core.branch");
-    }
+    if constexpr (kT && !PLAIN)
+      c.check(c.branch_, Ops::combine(c.rt(d.rs1), c.rt(d.rs2)),
+              ViolationKind::kBranchClearance, 0, "core.branch");
     if (taken) {
       const std::uint32_t target = c.pc_ + static_cast<std::uint32_t>(d.imm);
       if (target & 1) c.take_trap(kCauseInsnMisaligned, target);
@@ -221,12 +218,9 @@ struct CoreOps {
   template <std::uint32_t SZ, bool SIGN, bool PLAIN>
   static bool dmi_ld(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
-    if constexpr (kT && !PLAIN) {
-      if (c.exec_.mem_addr)
-        dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
-                         ViolationKind::kMemAddrClearance, c.pc_, addr,
-                         "core.lsu");
-    }
+    if constexpr (kT && !PLAIN)
+      c.check(c.mem_addr_, c.rt(d.rs1), ViolationKind::kMemAddrClearance, addr,
+              "core.lsu");
     if (!c.dmi_covers(addr, SZ)) return false;
     const std::uint64_t off = addr - c.dmi_base_;
     if constexpr (kT && PLAIN) {
@@ -254,7 +248,8 @@ struct CoreOps {
     c.wr(d.rd, extend<SZ, SIGN>(m.value), m.tag);
     if constexpr (kT && PLAIN) {
       // Bus/MMIO load: the device may hand back tagged data, or DMA behind
-      // our back — promote before the next op.
+      // our back — note the tag for the gate and promote before the next op.
+      c.note_reg_tag(m.tag);
       if (m.tag != dift::kBottomTag || (c.shadow_ && !c.shadow_->all_bottom()))
         c.taint_break_ = true;
     }
@@ -263,12 +258,9 @@ struct CoreOps {
   template <std::uint32_t SZ, bool PLAIN>
   static bool dmi_st(C& c, const Insn& d) {
     const std::uint32_t addr = c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm);
-    if constexpr (kT && !PLAIN) {
-      if (c.exec_.mem_addr)
-        dift::check_flow(c.rt(d.rs1), *c.exec_.mem_addr,
-                         ViolationKind::kMemAddrClearance, c.pc_, addr,
-                         "core.lsu");
-    }
+    if constexpr (kT && !PLAIN)
+      c.check(c.mem_addr_, c.rt(d.rs1), ViolationKind::kMemAddrClearance, addr,
+              "core.lsu");
     // The plain variant stores ⊥-tagged data over a ⊥ plane, which leaves
     // plane and summary untouched, and plain_state() verified every
     // store-protection clearance admits ⊥ — no checks needed. The tainted
@@ -316,12 +308,9 @@ struct CoreOps {
   static void h_jalr(C& c, const Insn& d) {
     const std::uint32_t target =
         (c.rv(d.rs1) + static_cast<std::uint32_t>(d.imm)) & ~1u;
-    if constexpr (kT) {
-      // Indirect jump: the target address acts as the "branch condition".
-      if (c.exec_.branch)
-        dift::check_flow(c.rt(d.rs1), *c.exec_.branch, ViolationKind::kBranchClearance,
-                         c.pc_, target, "core.jalr");
-    }
+    if constexpr (kT)  // indirect jump: the target acts as the "branch condition"
+      c.check(c.branch_, c.rt(d.rs1), ViolationKind::kBranchClearance, target,
+              "core.jalr");
     if (target & 1) { c.take_trap(kCauseInsnMisaligned, target); return; }
     c.wr(d.rd, c.pc_ + d.len, dift::kBottomTag);
     c.next_pc_ = target;
@@ -338,11 +327,9 @@ struct CoreOps {
     if (mpie) m |= kMstatusMie;
     m |= kMstatusMpie;
     s.mstatus.value = m;
-    if constexpr (kT) {
-      if (c.exec_.branch)
-        dift::check_flow(s.mepc.tag, *c.exec_.branch, ViolationKind::kBranchClearance,
-                         c.pc_, s.mepc.value, "core.mret");
-    }
+    if constexpr (kT)
+      c.check(c.branch_, s.mepc.tag, ViolationKind::kBranchClearance, s.mepc.value,
+              "core.mret");
     c.next_pc_ = s.mepc.value;
   }
   static void h_wfi(C& c, const Insn&) {
@@ -560,24 +547,49 @@ void Core<W>::invalidate_blocks() {
   smc_break_ = false;
 }
 
+namespace {
+
+/// True iff class `from` may flow to `to` in `l`. A class at or above the
+/// lattice size flows nowhere but to itself.
+bool flows(const dift::Lattice& l, Tag from, Tag to) {
+  return from == to ||
+         (from < l.size() && to < l.size() && l.allowed_flow(from, to));
+}
+
+}  // namespace
+
 template <typename W>
 void Core<W>::set_policy(const dift::SecurityPolicy* policy) {
   policy_ = policy;
-  exec_ = policy ? policy->execution_clearance() : dift::ExecutionClearance{};
+  const dift::ExecutionClearance ec =
+      policy ? policy->execution_clearance() : dift::ExecutionClearance{};
+  has_fetch_clearance_ = ec.fetch.has_value();
   has_store_prot_ = policy && !policy->store_protection().empty();
-  // Does every clearance admit ⊥-tagged execution? Asked of the policy's
-  // lattice, the one VirtualPrototype::run() makes active, so the answer is
-  // fixed here and costs the dispatch loop nothing. Translations are
-  // policy-independent and stay warm across a campaign re-arm.
-  plain_ok_ = true;
+  // Each execution clearance becomes a row over the policy's lattice, the
+  // one VirtualPrototype::run() makes active, so a check costs the hot path
+  // one byte instead of a lookup in the active context's flow table.
+  // Translations are policy-independent and stay warm across a re-arm.
+  const auto resolve = [&](Clearance& c, std::optional<Tag> clearance) {
+    c = Clearance{};
+    if (!clearance) return;
+    c.tag = *clearance;
+    const dift::Lattice& l = policy->lattice();
+    c.row.fill(Clearance::kCounted | Clearance::kRefused);
+    for (std::size_t t = 0; t < l.size(); ++t)
+      if (flows(l, static_cast<Tag>(t), c.tag)) c.row[t] = Clearance::kCounted;
+    c.row[c.tag] = 0;  // a class flows to itself, uncounted
+  };
+  resolve(fetch_, ec.fetch);
+  resolve(branch_, ec.branch);
+  resolve(mem_addr_, ec.mem_addr);
+  // Does every clearance admit ⊥-tagged execution? Fixed here, so it costs
+  // the dispatch loop nothing.
+  plain_ok_ = ((fetch_.row[dift::kBottomTag] | branch_.row[dift::kBottomTag] |
+                mem_addr_.row[dift::kBottomTag]) &
+               Clearance::kRefused) == 0;
   if (policy) {
-    const auto admits_bottom = [&](std::optional<Tag> c) {
-      return !c || policy->lattice().allowed_flow(dift::kBottomTag, *c);
-    };
-    plain_ok_ = admits_bottom(exec_.fetch) && admits_bottom(exec_.branch) &&
-                admits_bottom(exec_.mem_addr);
     for (const auto& mc : policy->store_protection())
-      plain_ok_ = plain_ok_ && admits_bottom(mc.tag);
+      plain_ok_ = plain_ok_ && flows(policy->lattice(), dift::kBottomTag, mc.tag);
   }
 }
 
@@ -698,11 +710,9 @@ void Core<W>::take_trap(std::uint32_t cause, std::uint32_t tval) {
   // Latch it so the VP can end the run with a defined reason instead of
   // spinning to its simulated-time budget.
   if ((s.mtvec.value & ~3u) == 0) fatal_trap_ = true;
-  if constexpr (kTainted) {
-    if (exec_.branch)
-      dift::check_flow(s.mtvec.tag, *exec_.branch, ViolationKind::kBranchClearance,
-                       pc_, s.mtvec.value, "core.trap-vector");
-  }
+  if constexpr (kTainted)
+    check(branch_, s.mtvec.tag, ViolationKind::kBranchClearance, s.mtvec.value,
+          "core.trap-vector");
   next_pc_ = s.mtvec.value & ~3u;
 }
 
@@ -759,6 +769,9 @@ void Core<W>::do_csr(const Insn& d) {
     csrs_.write(csrnum, {nv, nt});
   }
   wr(d.rd, old.value, old.tag);
+  // CSR ops run their full handler in the plain dispatch too, and a CSR
+  // may hold a tag.
+  if (d.rd != 0) note_reg_tag(old.tag);
 }
 
 template <typename W>
@@ -869,12 +882,15 @@ inline bool Core<W>::plain_state() {
     return false;  // the plain core has no variant split
   } else {
     if (trace_) return false;  // careful path owns trace-attached runs
+    // A policy whose clearances refuse ⊥ never runs plain: asked first, so
+    // its tainted dispatches (which all set the sticky bit) cost no rescan.
+    if (!plain_ok_) return false;
     if (!shadow_ || !shadow_->all_bottom()) return false;
     if (reg_tag_or_ != dift::kBottomTag) {
       if (Ops::tag(regs_[reg_tag_hint_]) != dift::kBottomTag) return false;
       if (!rescan_reg_tags()) return false;
     }
-    return plain_ok_;
+    return true;
   }
 }
 
@@ -900,7 +916,7 @@ inline std::uint64_t Core<W>::exec_cleared(const Block& b, std::size_t n,
   const auto retire = [&](std::uint64_t k) {
     if (!fresh) stats_.decode_hits += k;
     if constexpr (kTainted) {
-      if (exec_.fetch) stats_.fetch_summary_hits += k;
+      if (has_fetch_clearance_) stats_.fetch_summary_hits += k;
     }
   };
   if (n == 0) return 0;  // a fault callback re-armed at the current instret
@@ -941,10 +957,13 @@ std::uint64_t Core<W>::exec_checked(const Block& b, std::size_t n, bool fresh) {
   // per-instruction checks.
   bool cleared = true;
   if constexpr (kTainted) {
-    if (exec_.fetch) {
+    // Any register write of this dispatch may carry a tag: the gate's
+    // sticky bit is set once here (also for exec_careful), not per write.
+    reg_tag_or_ = 1;
+    if (has_fetch_clearance_) {
       Tag tag = dift::kBottomTag;
       cleared = shadow_ && shadow_->uniform(b.start_off, b.byte_len, &tag) &&
-                dift::allowed_flow(tag, *exec_.fetch);
+                admits(fetch_, tag);
     }
   }
   if (cleared && !trace_) return exec_cleared<false>(b, n, fresh);
@@ -967,7 +986,7 @@ std::uint64_t Core<W>::exec_careful(const Block& b, std::size_t n, bool fresh,
       const MicroOp& op = ops[done];
       if (!fresh) ++stats_.decode_hits;
       if constexpr (kTainted) {
-        if (exec_.fetch) {
+        if (has_fetch_clearance_) {
           if (cleared) {
             ++stats_.fetch_summary_hits;
           } else {
@@ -983,17 +1002,12 @@ std::uint64_t Core<W>::exec_careful(const Block& b, std::size_t n, bool fresh,
               for (std::uint32_t i = 1; i < op.insn.len; ++i)
                 tag = dift::lub(tag, dmi_tags_[off + i]);
             }
-            if (!uniform) {
-              dift::check_flow(tag, *exec_.fetch, ViolationKind::kFetchClearance,
-                               pc_, pc_, "core.fetch");
-            } else if (dift::allowed_flow(tag, *exec_.fetch)) {
-              ++stats_.fetch_summary_hits;
-            } else {
-              // Refused by the one counted lookup above: no second one.
-              dift::detail::flow_violation(tag, *exec_.fetch,
+            if (!admits(fetch_, tag))
+              dift::detail::flow_violation(tag, fetch_.tag,
                                            ViolationKind::kFetchClearance, pc_,
                                            pc_, "core.fetch");
-            }
+            else if (uniform)
+              ++stats_.fetch_summary_hits;
           }
         }
       }
@@ -1029,6 +1043,7 @@ void Core<W>::step_slow() {
   // Slow path (XIP flash etc.): read one parcel over the bus, extend to 32
   // bits when it is an uncompressed instruction.
   next_pc_ = pc_ + 4;
+  if constexpr (kTainted) reg_tag_or_ = 1;  // a tainted dispatch, as in exec_checked
   MemAccess f = fetch_parcel(pc_);
   if (!f.fault && (f.value & 3) == 3) {
     const MemAccess hi = fetch_parcel(pc_ + 2);
@@ -1042,11 +1057,8 @@ void Core<W>::step_slow() {
   if (f.fault) {
     take_trap(kCauseInsnAccessFault, pc_);
   } else {
-    if constexpr (kTainted) {
-      if (exec_.fetch)
-        dift::check_flow(f.tag, *exec_.fetch, ViolationKind::kFetchClearance,
-                         pc_, pc_, "core.fetch");
-    }
+    if constexpr (kTainted)
+      check(fetch_, f.tag, ViolationKind::kFetchClearance, pc_, "core.fetch");
     const Insn d = decode_any(f.value);
     next_pc_ = pc_ + d.len;
     trapped_ = false;

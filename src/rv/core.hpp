@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "dift/context.hpp"
 #include "dift/policy.hpp"
 #include "dift/shadow.hpp"
 #include "dift/stats.hpp"
@@ -83,8 +84,10 @@ class Core {
   static constexpr unsigned kWrittenPageShift = 12;
   /// Line granularity of the code-line set given to set_dmi().
   static constexpr unsigned kCodeLineShift = 6;
-  /// Installs the security policy (execution clearance + store protection).
-  /// Only meaningful for the tainted instantiation.
+  /// Installs the security policy (execution clearance + store protection)
+  /// and resolves each execution clearance into an admit row over the
+  /// policy's lattice, the one VirtualPrototype::run() makes active. Only
+  /// meaningful for the tainted instantiation.
   void set_policy(const dift::SecurityPolicy* policy);
   /// Source for the `time` CSR, in microseconds of simulated time.
   void set_time_source(std::function<std::uint64_t()> fn) { time_us_ = std::move(fn); }
@@ -101,8 +104,7 @@ class Core {
   void set_reg(std::uint8_t r, W v) {
     if (r != 0) {
       regs_[r] = v;
-      if constexpr (kTainted)
-        reg_tag_or_ = static_cast<dift::Tag>(reg_tag_or_ | Ops::tag(v));
+      note_reg_tag(Ops::tag(v));
     }
   }
   CsrFile& csrs() { return csrs_; }
@@ -180,8 +182,10 @@ class Core {
   /// Single-step convenience for tests.
   void step() { run(1); }
 
-  /// Cumulative engine counters (block cache, summary fast paths). The VP
-  /// snapshots these around run() to report per-run deltas.
+  /// Cumulative engine counters (block cache, summary fast paths, and the
+  /// flow_checks of the core's execution-clearance checks; every other
+  /// check counts in the active DiftContext). The VP snapshots these around
+  /// run() to report per-run deltas.
   const dift::DiftStats& stats() const { return stats_; }
 
  private:
@@ -336,25 +340,49 @@ class Core {
   // Taint-liveness gate (see docs/perf.md).
   bool plain_state();
   /// The gate's 32-register rescan: true iff every register tag is ⊥ (the
-  /// sticky OR is then cleared); else remembers the tainted register.
+  /// sticky bit is then cleared); else remembers the tainted register.
   [[gnu::noinline]] bool rescan_reg_tags();
+
+  /// One execution clearance (fetch, branch or memory address) resolved
+  /// against the policy's lattice by set_policy(): `row[t]` is what a check
+  /// of class t does. Bit kCounted is `t != tag` of a set clearance, the
+  /// check's flow_checks count; bit kRefused says t may not flow to `tag`
+  /// (a class at or above the lattice size never may). An unset clearance
+  /// is all zero: it admits every class and counts nothing.
+  struct Clearance {
+    static constexpr std::uint8_t kCounted = 1;
+    static constexpr std::uint8_t kRefused = 2;
+    std::array<std::uint8_t, 256> row{};
+    dift::Tag tag = dift::kBottomTag;
+  };
+  /// Counted test of class `t` against `c`: adds the check to flow_checks
+  /// and says whether the flow is allowed.
+  bool admits(const Clearance& c, dift::Tag t) {
+    const std::uint8_t r = c.row[t];
+    stats_.flow_checks += r & Clearance::kCounted;
+    return (r & Clearance::kRefused) == 0;
+  }
+  /// Execution-clearance check of the instruction at `pc_`: a refused flow
+  /// goes to the cold dift::detail::flow_violation, which records it
+  /// (monitor mode) or throws.
+  void check(const Clearance& c, dift::Tag t, dift::ViolationKind kind,
+             std::uint32_t addr, const char* where) {
+    if (!admits(c, t)) [[unlikely]]
+      dift::detail::flow_violation(t, c.tag, kind, pc_, addr, where);
+  }
 
   dift::Tag combine(dift::Tag a, dift::Tag b) { return Ops::combine(a, b); }
   std::uint32_t rv(std::uint8_t r) const { return Ops::value(regs_[r]); }
   dift::Tag rt(std::uint8_t r) const { return Ops::tag(regs_[r]); }
+  /// Register write of a handler. It leaves the gate's sticky bit alone: a
+  /// tainted dispatch sets it once (exec_checked, step_slow), and the
+  /// plain-dispatch writes that can carry a tag (bus loads, CSR reads) set
+  /// it themselves through note_reg_tag().
   void wr(std::uint8_t rd, std::uint32_t v, dift::Tag t) {
-    if (rd != 0) {
-      regs_[rd] = Ops::make(v, t);
-      if constexpr (kTainted)
-        reg_tag_or_ = static_cast<dift::Tag>(reg_tag_or_ | t);
-    }
+    if (rd != 0) regs_[rd] = Ops::make(v, t);
   }
-  void wrw(std::uint8_t rd, W w) {
-    if (rd != 0) {
-      regs_[rd] = w;
-      if constexpr (kTainted)
-        reg_tag_or_ = static_cast<dift::Tag>(reg_tag_or_ | Ops::tag(w));
-    }
+  void note_reg_tag(dift::Tag t) {
+    if constexpr (kTainted) reg_tag_or_ = static_cast<dift::Tag>(reg_tag_or_ | t);
   }
 
   std::string name_;
@@ -412,29 +440,38 @@ class Core {
   /// that reads `instret_`, counts the ops before it first.
   const MicroOp* th_first_ = nullptr;
 
-  // Taint-liveness gate state. `reg_tag_or_` is a sticky OR of every tag
-  // written to a register: 0 proves all register tags are ⊥; non-zero is
-  // re-verified (and cleared) by a 32-register rescan at the next gate
-  // evaluation, so the gate stays a pure function of architectural state.
+  // Taint-liveness gate state. `reg_tag_or_` is a sticky bit: 0 proves all
+  // register tags are ⊥. Every tainted dispatch sets it once on entry
+  // (exec_checked, step_slow), since any of its register writes may carry a
+  // tag; outside one, set_reg() and the plain-dispatch writes that can bring
+  // in a tag (bus loads, CSR reads) OR that tag in. Non-zero is re-verified
+  // (and cleared) by a 32-register rescan at the next gate evaluation, so
+  // the gate stays a pure function of architectural state.
   // `reg_tag_hint_` is the register the last rescan found tainted; while it
   // still is, the gate answers without a rescan.
   // `taint_break_` is raised by a plain-variant handler whose result
   // introduced taint (tagged MMIO read / DMA side effect): the plain
   // dispatch ends before the next op so everything downstream runs with
   // full tag semantics. `plain_ok_` answers "every execution
-  // clearance and store protection admits ⊥-tagged execution" under the
-  // policy's lattice; set_policy() fixes it.
+  // clearance row and store protection admits ⊥-tagged execution";
+  // set_policy() fixes it.
   dift::Tag reg_tag_or_ = dift::kBottomTag;
   std::uint8_t reg_tag_hint_ = 0;
   bool taint_break_ = false;
   bool plain_ok_ = true;
 
   const dift::SecurityPolicy* policy_ = nullptr;
-  dift::ExecutionClearance exec_;
+  bool has_fetch_clearance_ = false;
   bool has_store_prot_ = false;
 
   std::function<std::uint64_t()> time_us_;
   TraceBuffer* trace_ = nullptr;
+
+  // The execution clearances' admit rows (set_policy()), last so that they
+  // leave the layout of the fields above alone.
+  Clearance fetch_;
+  Clearance branch_;
+  Clearance mem_addr_;
 };
 
 extern template class Core<PlainWord>;

@@ -5,7 +5,7 @@
 namespace vpdift::soc {
 
 Sensor::Sensor(sysc::Simulation& sim, std::string name, sysc::Time period)
-    : Module(sim, std::move(name)), period_(period) {
+    : Module(sim, std::move(name)), tag_where_(name_ + ".data_tag"), period_(period) {
   tsock_.register_registers(*this, sysc::Time::ns(50));
 }
 
@@ -62,10 +62,20 @@ tlmlite::Response Sensor::write(std::uint64_t off, std::uint32_t size,
     return tlmlite::Response::kOk;
   }
   if (off != kDataTagReg) return tlmlite::Response::kAddressError;
-  // Mirrors the paper's `data_tag = *ptr`: the implicit Taint -> uint8_t
-  // conversion requires the incoming byte to be cleared for the engine's
-  // conversion clearance.
-  data_tag_ = dift::TaintedByte(static_cast<std::uint8_t>(value), t);
+  // Mirrors the paper's `data_tag = *ptr`: the Taint -> uint8_t conversion
+  // requires the incoming byte to be cleared for the engine's conversion
+  // clearance. Checked here rather than through the implicit conversion so
+  // that a violation names the register's bus address and site.
+  const dift::DiftContext* ctx = dift::DiftContext::active();
+  dift::check_flow(t, ctx ? ctx->conversion_clearance : dift::kBottomTag,
+                   dift::ViolationKind::kConversion, 0, bus_address(off),
+                   tag_where_.c_str());
+  // The byte becomes a security class: one outside the active lattice
+  // would index its tables out of range once it tags a frame, so the store
+  // is refused (the CPU takes a store access fault) and the class stays.
+  const auto cls = static_cast<dift::Tag>(value & 0xffu);
+  if (ctx && cls >= ctx->lattice().size()) return tlmlite::Response::kGenericError;
+  data_tag_ = cls;
   return tlmlite::Response::kOk;
 }
 

@@ -7,7 +7,9 @@
 //   0x00..0x3f DATA_FRAME (r)   tainted sensor data
 //   0x40       DATA_TAG   (rw)  security class of generated data; writing it
 //                               from classified data trips the checked
-//                               Taint -> uint8_t conversion (paper, line 47)
+//                               Taint -> uint8_t conversion (paper, line 47),
+//                               and a class outside the active lattice is
+//                               refused with an error response
 #pragma once
 
 #include <array>
@@ -83,6 +85,7 @@ class Sensor : public sysc::Module, public tlmlite::RegisterTarget {
   sysc::Task run();
 
   tlmlite::TargetSocket tsock_;
+  const std::string tag_where_;  ///< DATA_TAG conversion-check site name
   std::array<dift::TaintedByte, kFrameSize> frame_{};
   dift::Tag data_tag_ = dift::kBottomTag;
   sysc::Time period_;

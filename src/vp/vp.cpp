@@ -237,7 +237,9 @@ template <typename W>
 dift::DiftStats VirtualPrototype<W>::capture_stats() const {
   dift::DiftStats s = core_.stats();
   s.lub_calls = dift::detail::g_active.lub_calls;
-  s.flow_checks = dift::detail::g_active.flow_checks;
+  // The core counts its execution-clearance checks; peripherals, store
+  // protection and conversions count in the active context.
+  s.flow_checks += dift::detail::g_active.flow_checks;
   s.mem_summary_hits = ram_.summary_hits();
   s.dma_summary_hits = dma_.summary_hits();
   s.bus_transactions = bus_.transactions();

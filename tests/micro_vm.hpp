@@ -9,6 +9,15 @@
 
 namespace vpdift::testutil {
 
+/// Flow checks counted so far on this thread by `core` and the active
+/// DiftContext together: the core counts its execution-clearance checks,
+/// the context every other one (VirtualPrototype::capture_stats sums the
+/// same two).
+template <typename W>
+std::uint64_t flow_checks(const rv::Core<W>& core) {
+  return core.stats().flow_checks + dift::detail::g_active.flow_checks;
+}
+
 template <typename W>
 struct MicroVm {
   static constexpr std::uint64_t kBase = 0x80000000ull;

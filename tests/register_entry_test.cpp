@@ -21,6 +21,7 @@
 #include "dift/policy_parser.hpp"
 #include "fw/benchmarks.hpp"
 #include "fw/immobilizer.hpp"
+#include "micro_vm.hpp"
 #include "rv/core.hpp"
 #include "rvasm/assembler.hpp"
 #include "soc/addrmap.hpp"
@@ -265,7 +266,7 @@ Outcome run_core(World<W>& w, const rvasm::Program& prog, const Form& f,
   using Ops = rv::WordOps<W>;
   const auto& g = dift::detail::g_active;
   const std::uint64_t hits = w.core.stats().load_summary_hits, lubs = g.lub_calls,
-                      checks = g.flow_checks, bus = w.bus.transactions();
+                      checks = testutil::flow_checks(w.core), bus = w.bus.transactions();
   const std::size_t recs = record_count();
   w.core.set_reg(a0, Ops::make(addr, kBottomTag));
   w.core.set_reg(a1, Ops::make(value, tag));
@@ -282,7 +283,7 @@ Outcome run_core(World<W>& w, const rvasm::Program& prog, const Form& f,
   }
   r.summary_hits = w.core.stats().load_summary_hits - hits;
   r.lub_calls = g.lub_calls - lubs;
-  r.flow_checks = g.flow_checks - checks;
+  r.flow_checks = testutil::flow_checks(w.core) - checks;
   r.bus = w.bus.transactions() - bus;
   r.records = new_records(recs);
   return r;
@@ -295,7 +296,7 @@ template <typename W>
 Outcome run_payload(World<W>& w, const Form& f, std::uint32_t addr,
                     std::uint32_t value, Tag tag) {
   const auto& g = dift::detail::g_active;
-  const std::uint64_t lubs = g.lub_calls, checks = g.flow_checks,
+  const std::uint64_t lubs = g.lub_calls, checks = testutil::flow_checks(w.core),
                       bus = w.bus.transactions();
   const std::size_t recs = record_count();
   std::uint8_t buf[4] = {};
@@ -332,7 +333,7 @@ Outcome run_payload(World<W>& w, const Form& f, std::uint32_t addr,
     }
   }
   r.lub_calls = g.lub_calls - lubs;
-  r.flow_checks = g.flow_checks - checks;
+  r.flow_checks = testutil::flow_checks(w.core) - checks;
   r.bus = w.bus.transactions() - bus;
   r.records = new_records(recs);
   return r;

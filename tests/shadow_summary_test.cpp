@@ -412,13 +412,13 @@ TEST_F(LiveMemoryPath, LoadTagIsByteLubAndCountersFollowPerByteRule) {
         if (want_hit) want_lubs = 0;
 
         const std::uint64_t lubs = ctx_.lub_calls();
-        const std::uint64_t checks = ctx_.flow_checks();
+        const std::uint64_t checks = testutil::flow_checks(vm_.core);
         const std::uint64_t hits = vm_.core.stats().load_summary_hits;
         run_one(f.label, addr_of(o), kBottomTag);
         EXPECT_EQ(vm_.reg(a1), want_v);
         EXPECT_EQ(vm_.tag(a1), want_t);
         EXPECT_EQ(ctx_.lub_calls() - lubs, want_lubs);
-        EXPECT_EQ(ctx_.flow_checks() - checks, 1u);
+        EXPECT_EQ(testutil::flow_checks(vm_.core) - checks, 1u);
         EXPECT_EQ(vm_.core.stats().load_summary_hits - hits, want_hit ? 1u : 0u);
       }
     }
@@ -449,10 +449,10 @@ TEST_F(LiveMemoryPath, StoresKeepPlaneAndSummaryExact) {
                        << int(t) << " at " << o);
           set_window(state);
           const std::uint64_t lubs = ctx_.lub_calls();
-          const std::uint64_t checks = ctx_.flow_checks();
+          const std::uint64_t checks = testutil::flow_checks(vm_.core);
           run_one(f.label, addr_of(o), kBottomTag, value, t);
           EXPECT_EQ(ctx_.lub_calls() - lubs, 0u);
-          EXPECT_EQ(ctx_.flow_checks() - checks, 1u);
+          EXPECT_EQ(testutil::flow_checks(vm_.core) - checks, 1u);
           for (std::int64_t i = -std::int64_t(kB); i < 2 * std::int64_t(kB); ++i) {
             const bool hit = i >= o && i < o + std::int64_t(f.size);
             const auto k = static_cast<std::size_t>(kData + i);
